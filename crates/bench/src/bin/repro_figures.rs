@@ -61,7 +61,9 @@
 //! --telemetry DIR  install a process-wide telemetry sink and, after each
 //!               target, drain it into DIR as TELEM_<target>.json (plus a
 //!               Prometheus-text TELEM_<target>.prom on unsharded runs) and
-//!               print a per-metric summary table. Reports and BENCH json
+//!               print a per-metric summary table (an unsharded `demand`
+//!               run drains its worst-case panel separately, into
+//!               TELEM_demand-worst-case.json). Reports and BENCH json
 //!               stay byte-identical with or without this flag.
 //! --telemetry-diff A B  run nothing; compare the deterministic projection
 //!               (scheduling-independent counters + histogram observation
@@ -377,6 +379,7 @@ fn main() {
     for target in queue {
         let target_t0 = Instant::now();
         let served_before = dcn_core::total_served();
+        let mut telem_target = target.clone();
         match target.as_str() {
             id @ ("fig1" | "fig2" | "fig3" | "fig4") => {
                 if !shard_spec.is_full() {
@@ -449,6 +452,13 @@ fn main() {
                 // too (unsharded runs only: the panel is not part of the
                 // mergeable per-shard BENCH json).
                 if id == "demand" && shard_spec.is_full() {
+                    // Its telemetry splits off the same way, into
+                    // TELEM_demand-worst-case.json, so TELEM_demand.json
+                    // counts exactly the runs a sharded `demand` counts.
+                    if let Some(dir) = telemetry_dir.as_deref() {
+                        export_telemetry(dir, id, shard_spec);
+                    }
+                    telem_target = "demand-worst-case".into();
                     print_table(
                         "demand-worst-case",
                         worst_case_panel(),
@@ -563,7 +573,7 @@ fn main() {
             "[{target}] {wall:.2}s wall, {served} requests simulated, {mreq_s:.2} Mreq/s effective"
         );
         if let Some(dir) = telemetry_dir.as_deref() {
-            export_telemetry(dir, &target, shard_spec);
+            export_telemetry(dir, &telem_target, shard_spec);
         }
     }
 }

@@ -11,9 +11,10 @@
 //! exactly the trade-off Figs. 1c–4c probe: it wins on temporally
 //! structureless (i.i.d.) traffic and loses ground on bursty traffic.
 
+use crate::sweep::steal_map;
 use dcn_matching::{repeated::repeated_mwm_b_matching, WeightedEdge};
 use dcn_topology::{DistanceMatrix, Pair};
-use dcn_util::FxHashMap;
+use dcn_util::{FxHashMap, FxHashSet};
 
 /// Aggregates demand and returns the weighted candidate edges
 /// (`weight = count · (ℓ_e − 1)`, i.e. the total routing cost saved by
@@ -40,7 +41,7 @@ pub fn so_bma_matching(dm: &DistanceMatrix, requests: &[Pair], b: usize) -> Vec<
 
 /// Routing cost of replaying `requests` against a *static* matching.
 pub fn static_routing_cost(dm: &DistanceMatrix, requests: &[Pair], matching: &[Pair]) -> u64 {
-    let in_m: std::collections::HashSet<Pair> = matching.iter().copied().collect();
+    let in_m: FxHashSet<Pair> = matching.iter().copied().collect();
     requests
         .iter()
         .map(|r| {
@@ -56,21 +57,30 @@ pub fn static_routing_cost(dm: &DistanceMatrix, requests: &[Pair], matching: &[P
 /// SO-BMA evaluated at a sequence of checkpoints: for each prefix length,
 /// the matching is recomputed on that prefix's demand (clairvoyant up to the
 /// checkpoint, as in the paper's figures) and the prefix is replayed.
-/// Returns `(checkpoint, routing_cost)` rows.
+/// Returns `(checkpoint, routing_cost)` rows in `checkpoints` order.
+///
+/// Checkpoints are independent jobs, fanned out on [`steal_map`] over all
+/// cores, longest prefix first so the heaviest solves never trail the
+/// fan-out. Each job is deterministic, so the rows do not depend on the
+/// thread count.
 pub fn so_bma_series(
     dm: &DistanceMatrix,
     requests: &[Pair],
     b: usize,
     checkpoints: &[usize],
 ) -> Vec<(usize, u64)> {
-    checkpoints
-        .iter()
-        .map(|&cp| {
-            let prefix = &requests[..cp.min(requests.len())];
-            let matching = so_bma_matching(dm, prefix, b);
-            (cp, static_routing_cost(dm, prefix, &matching))
-        })
-        .collect()
+    let prefix = |i: usize| &requests[..checkpoints[i].min(requests.len())];
+    let mut order: Vec<usize> = (0..checkpoints.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(prefix(i).len()));
+    let costs = steal_map(order.len(), 0, |k| {
+        let requests = prefix(order[k]);
+        static_routing_cost(dm, requests, &so_bma_matching(dm, requests, b))
+    });
+    let mut rows = vec![(0, 0); checkpoints.len()];
+    for (&i, cost) in order.iter().zip(costs) {
+        rows[i] = (checkpoints[i], cost);
+    }
+    rows
 }
 
 #[cfg(test)]

@@ -74,7 +74,12 @@ pub fn max_weight_matching(n: usize, edges: &[WeightedEdge]) -> Vec<Option<u32>>
 
 /// Like [`max_weight_matching`] but returns the matched pairs directly.
 pub fn max_weight_matching_pairs(n: usize, edges: &[WeightedEdge]) -> Vec<Pair> {
-    let mate = max_weight_matching(n, edges);
+    mate_pairs(&max_weight_matching(n, edges))
+}
+
+/// The matched pairs of a `mate` vector, in increasing order of their
+/// lower endpoint.
+pub(crate) fn mate_pairs(mate: &[Option<u32>]) -> Vec<Pair> {
     let mut pairs = Vec::new();
     for (v, &m) in mate.iter().enumerate() {
         if let Some(w) = m {
@@ -86,6 +91,16 @@ pub fn max_weight_matching_pairs(n: usize, edges: &[WeightedEdge]) -> Vec<Pair> 
     pairs
 }
 
+/// One entry of vertex `v`'s adjacency: the remote vertex `w`, the remote
+/// endpoint `p` (edge `p / 2`) and the edge weight, stored inline so the
+/// scan loop reads one contiguous run per vertex and never `edges[k]`.
+#[derive(Clone, Copy)]
+struct Neighbor {
+    w: u32,
+    p: u32,
+    wt: i64,
+}
+
 /// Internal solver state; field names follow the reference implementation.
 struct Matcher {
     nvertex: usize,
@@ -94,8 +109,10 @@ struct Matcher {
     edges: Vec<(usize, usize, i64)>,
     /// endpoint[p]: vertex at directed endpoint p (edge p/2, side p%2).
     endpoint: Vec<usize>,
-    /// neighbend[v]: remote endpoints of edges incident to v.
-    neighbend: Vec<Vec<usize>>,
+    /// The reference's `neighbend` in CSR form: vertex v's incident edges,
+    /// in input edge order, are `neighbors[neighbor_start[v]..neighbor_start[v + 1]]`.
+    neighbor_start: Vec<usize>,
+    neighbors: Vec<Neighbor>,
     /// mate[v]: remote *endpoint* of matched edge, or NONE.
     mate: Vec<usize>,
     /// label[b] for vertex/blossom b: 0 free, 1 S, 2 T, 5 breadcrumb.
@@ -110,26 +127,65 @@ struct Matcher {
     blossomendps: Vec<Vec<usize>>,
     /// bestedge[b]: least-slack edge to a different S-blossom.
     bestedge: Vec<usize>,
+    /// bestslack[b] = slack(bestedge[b]) whenever bestedge[b] != NONE;
+    /// refreshed after every dual update, the only place slacks change.
+    bestslack: Vec<i64>,
     blossombestedges: Vec<Option<Vec<usize>>>,
     unusedblossoms: Vec<usize>,
     dualvar: Vec<i64>,
     allowedge: Vec<bool>,
     queue: Vec<usize>,
+    /// Scratch buffers, empty (or all NONE) between uses.
+    leaves: Vec<usize>,
+    path: Vec<usize>,
+    bestedgeto: Vec<usize>,
+}
+
+/// Collects the leaf vertices of blossom `b` into `out`.
+fn collect_leaves(blossomchilds: &[Vec<usize>], nvertex: usize, b: usize, out: &mut Vec<usize>) {
+    if b < nvertex {
+        out.push(b);
+    } else {
+        for &t in &blossomchilds[b] {
+            collect_leaves(blossomchilds, nvertex, t, out);
+        }
+    }
 }
 
 impl Matcher {
     fn new(nvertex: usize, edges: Vec<(usize, usize, i64)>) -> Self {
         let nedge = edges.len();
+        assert!(2 * nedge <= u32::MAX as usize, "too many edges");
         let maxweight = edges.iter().map(|e| e.2).max().unwrap_or(0).max(0);
         let mut endpoint = Vec::with_capacity(2 * nedge);
         for &(i, j, _) in &edges {
             endpoint.push(i);
             endpoint.push(j);
         }
-        let mut neighbend = vec![Vec::new(); nvertex];
-        for (k, &(i, j, _)) in edges.iter().enumerate() {
-            neighbend[i].push(2 * k + 1);
-            neighbend[j].push(2 * k);
+        let mut neighbor_start = vec![0; nvertex + 1];
+        for &(i, j, _) in &edges {
+            neighbor_start[i + 1] += 1;
+            neighbor_start[j + 1] += 1;
+        }
+        for v in 0..nvertex {
+            neighbor_start[v + 1] += neighbor_start[v];
+        }
+        let mut fill = neighbor_start[..nvertex].to_vec();
+        let mut neighbors = vec![Neighbor { w: 0, p: 0, wt: 0 }; 2 * nedge];
+        for (k, &(i, j, wt)) in edges.iter().enumerate() {
+            let k = k as u32;
+            neighbors[fill[i]] = Neighbor {
+                w: j as u32,
+                p: 2 * k + 1,
+                wt,
+            };
+            fill[i] += 1;
+            neighbors[fill[j]] = Neighbor {
+                w: i as u32,
+                p: 2 * k,
+                wt,
+            };
+            fill[j] += 1;
         }
         let mut dualvar = vec![maxweight; nvertex];
         dualvar.extend(std::iter::repeat_n(0, nvertex));
@@ -138,7 +194,8 @@ impl Matcher {
             nedge,
             edges,
             endpoint,
-            neighbend,
+            neighbor_start,
+            neighbors,
             mate: vec![NONE; nvertex],
             label: vec![0; 2 * nvertex],
             labelend: vec![NONE; 2 * nvertex],
@@ -150,11 +207,15 @@ impl Matcher {
                 .collect(),
             blossomendps: vec![Vec::new(); 2 * nvertex],
             bestedge: vec![NONE; 2 * nvertex],
+            bestslack: vec![0; 2 * nvertex],
             blossombestedges: vec![None; 2 * nvertex],
             unusedblossoms: (nvertex..2 * nvertex).collect(),
             dualvar,
             allowedge: vec![false; nedge],
             queue: Vec::new(),
+            leaves: Vec::new(),
+            path: Vec::new(),
+            bestedgeto: vec![NONE; 2 * nvertex],
         }
     }
 
@@ -165,15 +226,11 @@ impl Matcher {
         self.dualvar[i] + self.dualvar[j] - 2 * wt
     }
 
-    /// Collects the leaf vertices of blossom `b` into `out`.
-    fn collect_leaves(&self, b: usize, out: &mut Vec<usize>) {
-        if b < self.nvertex {
-            out.push(b);
-        } else {
-            for &t in &self.blossomchilds[b] {
-                self.collect_leaves(t, out);
-            }
-        }
+    /// Sets `bestedge[b] = k` with its current slack.
+    #[inline]
+    fn set_bestedge(&mut self, b: usize, k: usize, kslack: i64) {
+        self.bestedge[b] = k;
+        self.bestslack[b] = kslack;
     }
 
     /// Assigns label `t` to vertex `w` (through endpoint `p`), propagating
@@ -188,9 +245,7 @@ impl Matcher {
         self.bestedge[w] = NONE;
         self.bestedge[b] = NONE;
         if t == 1 {
-            let mut leaves = Vec::new();
-            self.collect_leaves(b, &mut leaves);
-            self.queue.extend(leaves);
+            collect_leaves(&self.blossomchilds, self.nvertex, b, &mut self.queue);
         } else if t == 2 {
             let base = self.blossombase[b];
             debug_assert!(self.mate[base] != NONE);
@@ -202,7 +257,7 @@ impl Matcher {
     /// Traces back from S-vertices `v` and `w`; returns the base of a new
     /// blossom (common ancestor) or NONE if an augmenting path was found.
     fn scan_blossom(&mut self, mut v: usize, mut w: usize) -> usize {
-        let mut path = Vec::new();
+        let mut path = std::mem::take(&mut self.path);
         let mut base = NONE;
         while v != NONE || w != NONE {
             let mut b = self.inblossom[v];
@@ -227,10 +282,24 @@ impl Matcher {
                 std::mem::swap(&mut v, &mut w);
             }
         }
-        for b in path {
+        for b in path.drain(..) {
             self.label[b] = 1;
         }
+        self.path = path;
         base
+    }
+
+    /// Offers edge `k2`, whose endpoint outside new blossom `b` is `far`, as
+    /// the least-slack edge from `b` to `far`'s S-blossom.
+    #[inline]
+    fn offer_bestedge(&self, b: usize, k2: usize, far: usize, bestedgeto: &mut [usize]) {
+        let bj = self.inblossom[far];
+        if bj != b
+            && self.label[bj] == 1
+            && (bestedgeto[bj] == NONE || self.slack(k2) < self.slack(bestedgeto[bj]))
+        {
+            bestedgeto[bj] = k2;
+        }
     }
 
     /// Creates a new blossom with the given base, closed by edge `k`.
@@ -244,8 +313,11 @@ impl Matcher {
         self.blossomparent[b] = NONE;
         self.blossomparent[bb] = b;
 
-        let mut path = Vec::new();
-        let mut endps = Vec::new();
+        // Build the child and endpoint lists in place (a recycled blossom
+        // id keeps its lists' capacity).
+        let mut path = std::mem::take(&mut self.blossomchilds[b]);
+        let mut endps = std::mem::take(&mut self.blossomendps[b]);
+        debug_assert!(path.is_empty() && endps.is_empty());
         while bv != bb {
             self.blossomparent[bv] = b;
             path.push(bv);
@@ -281,12 +353,12 @@ impl Matcher {
         self.label[b] = 1;
         self.labelend[b] = self.labelend[bb];
         self.dualvar[b] = 0;
-        self.blossomchilds[b] = path.clone();
+        self.blossomchilds[b] = path;
         self.blossomendps[b] = endps;
 
         // Relabel the blossom's vertices; former T-vertices become S.
-        let mut leaves = Vec::new();
-        self.collect_leaves(b, &mut leaves);
+        let mut leaves = std::mem::take(&mut self.leaves);
+        collect_leaves(&self.blossomchilds, self.nvertex, b, &mut leaves);
         for &lv in &leaves {
             if self.label[self.inblossom[lv]] == 2 {
                 self.queue.push(lv);
@@ -295,50 +367,57 @@ impl Matcher {
         }
 
         // Merge least-slack edge lists of the sub-blossoms.
-        let mut bestedgeto = vec![NONE; 2 * self.nvertex];
-        for &bv in &path {
-            let nblists: Vec<Vec<usize>> = match self.blossombestedges[bv].take() {
-                Some(list) => vec![list],
-                None => {
-                    let mut lvs = Vec::new();
-                    self.collect_leaves(bv, &mut lvs);
-                    lvs.iter()
-                        .map(|&lv| self.neighbend[lv].iter().map(|&p| p / 2).collect())
-                        .collect()
-                }
-            };
-            for nblist in nblists {
-                for k2 in nblist {
-                    let (mut i, mut j, _) = self.edges[k2];
-                    if self.inblossom[j] == b {
-                        std::mem::swap(&mut i, &mut j);
+        let mut bestedgeto = std::mem::take(&mut self.bestedgeto);
+        for c in 0..self.blossomchilds[b].len() {
+            let bv = self.blossomchilds[b][c];
+            match self.blossombestedges[bv].take() {
+                Some(list) => {
+                    for &k2 in &list {
+                        let (i, j, _) = self.edges[k2];
+                        let far = if self.inblossom[j] == b { i } else { j };
+                        self.offer_bestedge(b, k2, far, &mut bestedgeto);
                     }
-                    let _ = i;
-                    let bj = self.inblossom[j];
-                    if bj != b
-                        && self.label[bj] == 1
-                        && (bestedgeto[bj] == NONE || self.slack(k2) < self.slack(bestedgeto[bj]))
-                    {
-                        bestedgeto[bj] = k2;
+                }
+                None => {
+                    leaves.clear();
+                    collect_leaves(&self.blossomchilds, self.nvertex, bv, &mut leaves);
+                    for &lv in &leaves {
+                        for a in self.neighbor_start[lv]..self.neighbor_start[lv + 1] {
+                            let nb = self.neighbors[a];
+                            self.offer_bestedge(
+                                b,
+                                nb.p as usize / 2,
+                                nb.w as usize,
+                                &mut bestedgeto,
+                            );
+                        }
                     }
                 }
             }
             self.bestedge[bv] = NONE;
         }
-        let bel: Vec<usize> = bestedgeto.into_iter().filter(|&k2| k2 != NONE).collect();
+        leaves.clear();
+        self.leaves = leaves;
+        let mut bel = Vec::new();
         self.bestedge[b] = NONE;
-        for &k2 in &bel {
-            if self.bestedge[b] == NONE || self.slack(k2) < self.slack(self.bestedge[b]) {
-                self.bestedge[b] = k2;
+        for slot in bestedgeto.iter_mut().filter(|k2| **k2 != NONE) {
+            let k2 = std::mem::replace(slot, NONE);
+            bel.push(k2);
+            let kslack = self.slack(k2);
+            if self.bestedge[b] == NONE || kslack < self.bestslack[b] {
+                self.set_bestedge(b, k2, kslack);
             }
         }
+        self.bestedgeto = bestedgeto;
         self.blossombestedges[b] = Some(bel);
     }
 
     /// Expands (dissolves) blossom `b`; if `endstage` is false, `b` is a
     /// T-blossom being expanded mid-stage and its children are relabeled.
     fn expand_blossom(&mut self, b: usize, endstage: bool) {
-        let childs = self.blossomchilds[b].clone();
+        // Nothing below reads b's own lists (its leaves already point at the
+        // children), so they are taken out and handed back cleared.
+        let mut childs = std::mem::take(&mut self.blossomchilds[b]);
         for &s in &childs {
             self.blossomparent[s] = NONE;
             if s < self.nvertex {
@@ -346,15 +425,16 @@ impl Matcher {
             } else if endstage && self.dualvar[s] == 0 {
                 self.expand_blossom(s, endstage);
             } else {
-                let mut lvs = Vec::new();
-                self.collect_leaves(s, &mut lvs);
-                for lv in lvs {
+                let mut lvs = std::mem::take(&mut self.leaves);
+                collect_leaves(&self.blossomchilds, self.nvertex, s, &mut lvs);
+                for lv in lvs.drain(..) {
                     self.inblossom[lv] = s;
                 }
+                self.leaves = lvs;
             }
         }
         if !endstage && self.label[b] == 2 {
-            let endps = self.blossomendps[b].clone();
+            let endps = std::mem::take(&mut self.blossomendps[b]);
             let len = childs.len() as isize;
             let idx = |j: isize| -> usize { j.rem_euclid(len) as usize };
             debug_assert!(self.labelend[b] != NONE);
@@ -399,9 +479,11 @@ impl Matcher {
                     j += jstep;
                     continue;
                 }
-                let mut lvs = Vec::new();
-                self.collect_leaves(bv, &mut lvs);
+                let mut lvs = std::mem::take(&mut self.leaves);
+                collect_leaves(&self.blossomchilds, self.nvertex, bv, &mut lvs);
                 let reached = lvs.iter().copied().find(|&v| self.label[v] != 0);
+                lvs.clear();
+                self.leaves = lvs;
                 if let Some(v) = reached {
                     debug_assert_eq!(self.label[v], 2);
                     debug_assert_eq!(self.inblossom[v], bv);
@@ -413,11 +495,13 @@ impl Matcher {
                 }
                 j += jstep;
             }
+            self.blossomendps[b] = endps;
         }
         // Recycle the blossom id.
+        childs.clear();
+        self.blossomchilds[b] = childs;
         self.label[b] = 0;
         self.labelend[b] = NONE;
-        self.blossomchilds[b].clear();
         self.blossomendps[b].clear();
         self.blossombase[b] = NONE;
         self.blossombestedges[b] = None;
@@ -436,8 +520,9 @@ impl Matcher {
         if t >= self.nvertex {
             self.augment_blossom(t, v);
         }
-        let childs = self.blossomchilds[b].clone();
-        let endps = self.blossomendps[b].clone();
+        // The recursive calls below touch only sub-blossoms' lists.
+        let mut childs = std::mem::take(&mut self.blossomchilds[b]);
+        let mut endps = std::mem::take(&mut self.blossomendps[b]);
         let len = childs.len() as isize;
         let idx = |j: isize| -> usize { j.rem_euclid(len) as usize };
         let i = childs
@@ -466,9 +551,11 @@ impl Matcher {
             self.mate[self.endpoint[p]] = p ^ 1;
             self.mate[self.endpoint[p ^ 1]] = p;
         }
-        self.blossomchilds[b].rotate_left(i);
-        self.blossomendps[b].rotate_left(i);
-        self.blossombase[b] = self.blossombase[self.blossomchilds[b][0]];
+        childs.rotate_left(i);
+        endps.rotate_left(i);
+        self.blossombase[b] = self.blossombase[childs[0]];
+        self.blossomchilds[b] = childs;
+        self.blossomendps[b] = endps;
         debug_assert_eq!(self.blossombase[b], v);
     }
 
@@ -503,15 +590,68 @@ impl Matcher {
         }
     }
 
+    /// Scans S-vertex `v`'s incident edges (the hot loop). Returns true if
+    /// it augmented the matching, which ends the stage.
+    fn scan_vertex(&mut self, v: usize) -> bool {
+        debug_assert_eq!(self.label[self.inblossom[v]], 1);
+        // Vertex duals change only in the dual update, never mid-scan; v's
+        // blossom changes only when an edge closes a new blossom.
+        let dv = self.dualvar[v];
+        let mut bv = self.inblossom[v];
+        for a in self.neighbor_start[v]..self.neighbor_start[v + 1] {
+            let Neighbor { w, p, wt } = self.neighbors[a];
+            let (w, p) = (w as usize, p as usize);
+            let k = p / 2;
+            let bw = self.inblossom[w];
+            if bv == bw {
+                continue;
+            }
+            let mut kslack = 0;
+            if !self.allowedge[k] {
+                kslack = dv + self.dualvar[w] - 2 * wt;
+                debug_assert_eq!(kslack, self.slack(k));
+                if kslack <= 0 {
+                    self.allowedge[k] = true;
+                }
+            }
+            let lw = self.label[bw];
+            if self.allowedge[k] {
+                if lw == 0 {
+                    self.assign_label(w, 2, p ^ 1);
+                } else if lw == 1 {
+                    let base = self.scan_blossom(v, w);
+                    if base == NONE {
+                        self.augment_matching(k);
+                        return true;
+                    }
+                    self.add_blossom(base, k);
+                    bv = self.inblossom[v];
+                } else if self.label[w] == 0 {
+                    debug_assert_eq!(lw, 2);
+                    self.label[w] = 2;
+                    self.labelend[w] = p ^ 1;
+                }
+            } else if lw == 1 {
+                if self.bestedge[bv] == NONE || kslack < self.bestslack[bv] {
+                    self.set_bestedge(bv, k, kslack);
+                }
+            } else if self.label[w] == 0 && (self.bestedge[w] == NONE || kslack < self.bestslack[w])
+            {
+                self.set_bestedge(w, k, kslack);
+            }
+        }
+        false
+    }
+
     /// Main loop: up to `nvertex` augmentation stages.
     fn solve(&mut self) {
         for _ in 0..self.nvertex {
-            self.label.iter_mut().for_each(|l| *l = 0);
-            self.bestedge.iter_mut().for_each(|e| *e = NONE);
+            self.label.fill(0);
+            self.bestedge.fill(NONE);
             for be in &mut self.blossombestedges[self.nvertex..] {
                 *be = None;
             }
-            self.allowedge.iter_mut().for_each(|a| *a = false);
+            self.allowedge.fill(false);
             self.queue.clear();
             for v in 0..self.nvertex {
                 if self.mate[v] == NONE && self.label[self.inblossom[v]] == 0 {
@@ -520,51 +660,9 @@ impl Matcher {
             }
             let mut augmented = false;
             loop {
-                while !self.queue.is_empty() && !augmented {
-                    let v = self.queue.pop().expect("queue non-empty");
-                    debug_assert_eq!(self.label[self.inblossom[v]], 1);
-                    for idx_p in 0..self.neighbend[v].len() {
-                        let p = self.neighbend[v][idx_p];
-                        let k = p / 2;
-                        let w = self.endpoint[p];
-                        if self.inblossom[v] == self.inblossom[w] {
-                            continue;
-                        }
-                        let mut kslack = 0;
-                        if !self.allowedge[k] {
-                            kslack = self.slack(k);
-                            if kslack <= 0 {
-                                self.allowedge[k] = true;
-                            }
-                        }
-                        if self.allowedge[k] {
-                            if self.label[self.inblossom[w]] == 0 {
-                                self.assign_label(w, 2, p ^ 1);
-                            } else if self.label[self.inblossom[w]] == 1 {
-                                let base = self.scan_blossom(v, w);
-                                if base != NONE {
-                                    self.add_blossom(base, k);
-                                } else {
-                                    self.augment_matching(k);
-                                    augmented = true;
-                                    break;
-                                }
-                            } else if self.label[w] == 0 {
-                                debug_assert_eq!(self.label[self.inblossom[w]], 2);
-                                self.label[w] = 2;
-                                self.labelend[w] = p ^ 1;
-                            }
-                        } else if self.label[self.inblossom[w]] == 1 {
-                            let b = self.inblossom[v];
-                            if self.bestedge[b] == NONE || kslack < self.slack(self.bestedge[b]) {
-                                self.bestedge[b] = k;
-                            }
-                        } else if self.label[w] == 0
-                            && (self.bestedge[w] == NONE || kslack < self.slack(self.bestedge[w]))
-                        {
-                            self.bestedge[w] = k;
-                        }
-                    }
+                while !augmented {
+                    let Some(v) = self.queue.pop() else { break };
+                    augmented = self.scan_vertex(v);
                 }
                 if augmented {
                     break;
@@ -581,7 +679,8 @@ impl Matcher {
                 let mut deltablossom = NONE;
                 for v in 0..self.nvertex {
                     if self.label[self.inblossom[v]] == 0 && self.bestedge[v] != NONE {
-                        let d = self.slack(self.bestedge[v]);
+                        let d = self.bestslack[v];
+                        debug_assert_eq!(d, self.slack(self.bestedge[v]));
                         if d < delta {
                             delta = d;
                             deltatype = 2;
@@ -594,7 +693,8 @@ impl Matcher {
                         && self.label[b] == 1
                         && self.bestedge[b] != NONE
                     {
-                        let kslack = self.slack(self.bestedge[b]);
+                        let kslack = self.bestslack[b];
+                        debug_assert_eq!(kslack, self.slack(self.bestedge[b]));
                         debug_assert!(
                             kslack % 2 == 0,
                             "S-S slack must be even for integer weights"
@@ -634,6 +734,11 @@ impl Matcher {
                             2 => self.dualvar[b] -= delta,
                             _ => {}
                         }
+                    }
+                }
+                for b in 0..2 * self.nvertex {
+                    if self.bestedge[b] != NONE {
+                        self.bestslack[b] = self.slack(self.bestedge[b]);
                     }
                 }
 

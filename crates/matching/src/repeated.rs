@@ -12,33 +12,40 @@
 //! secures at least `OPT_b / b`, and on skewed datacenter demand it is near
 //! optimal; tests quantify this against brute force.
 
-use crate::blossom::max_weight_matching_pairs;
+use crate::blossom::{mate_pairs, max_weight_matching};
 use crate::WeightedEdge;
 use dcn_topology::Pair;
-use dcn_util::FxHashSet;
 
 /// Runs `b` rounds of exact maximum-weight matching on the residual edge
 /// set; returns one `Vec<Pair>` per round (the per-switch matchings).
 /// The union is a valid b-matching.
 pub fn repeated_mwm_rounds(n: usize, edges: &[WeightedEdge], b: usize) -> Vec<Vec<Pair>> {
     assert!(b >= 1);
-    let mut taken: FxHashSet<Pair> = FxHashSet::default();
+    // taken[k]: edge k's pair was matched in an earlier round. Every copy
+    // of a duplicated pair is taken together, since all share the mates.
+    // Positive edges have all passed through a round, so their endpoints
+    // are range-checked before `mate` is indexed with them.
+    let mut taken = vec![false; edges.len()];
+    let mut residual = Vec::with_capacity(edges.len());
     let mut rounds = Vec::with_capacity(b);
     for _ in 0..b {
-        let residual: Vec<WeightedEdge> = edges
-            .iter()
-            .filter(|e| e.weight > 0 && !taken.contains(&Pair::new(e.u, e.v)))
-            .copied()
-            .collect();
+        residual.clear();
+        residual.extend(
+            edges
+                .iter()
+                .zip(&taken)
+                .filter(|&(e, &t)| e.weight > 0 && !t)
+                .map(|(e, _)| *e),
+        );
         if residual.is_empty() {
             rounds.push(Vec::new());
             continue;
         }
-        let matched = max_weight_matching_pairs(n, &residual);
-        for &p in &matched {
-            taken.insert(p);
+        let mate = max_weight_matching(n, &residual);
+        for (e, t) in edges.iter().zip(&mut taken) {
+            *t |= e.weight > 0 && mate[e.u as usize] == Some(e.v);
         }
-        rounds.push(matched);
+        rounds.push(mate_pairs(&mate));
     }
     rounds
 }
@@ -97,6 +104,18 @@ mod tests {
         }
         let union: Vec<Pair> = rounds.into_iter().flatten().collect();
         assert!(is_valid_b_matching(&union, 3));
+    }
+
+    #[test]
+    fn duplicate_pairs_are_taken_together() {
+        // Two copies of 0-1: once one is matched, neither returns in a
+        // later round.
+        let edges = [we(0, 1, 5), we(1, 0, 5), we(1, 2, 1)];
+        let rounds = repeated_mwm_rounds(3, &edges, 3);
+        assert_eq!(
+            rounds,
+            vec![vec![Pair::new(0, 1)], vec![Pair::new(1, 2)], vec![]]
+        );
     }
 
     #[test]
