@@ -3,8 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dcn_paging::{Belady, Fifo, Lru, Marking, PagingPolicy};
-use dcn_topology::{builders, DistanceMatrix};
-use dcn_traces::{zipf_weights, AliasTable};
+use dcn_topology::{builders, DistanceMatrix, Pair};
+use dcn_traces::{zipf_weights, AliasTable, FacebookCluster, TraceSpec};
 use dcn_util::IndexedSet;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
@@ -94,6 +94,78 @@ fn indexed_set_and_alias(c: &mut Criterion) {
     group.finish();
 }
 
+/// Trace generation, the first layer of every run: `fill` through the
+/// boxed source a `TraceSpec` yields, in the simulator's 1024-request
+/// batches, at 100 racks. One point per hot kernel family: uniform pairs
+/// (two bounded draws), Zipf 1.2 (alias table), and the Facebook working
+/// set without (Database) and with (Hadoop) shuffle phases.
+fn traces_fill(c: &mut Criterion) {
+    const RACKS: usize = 100;
+    const LEN: usize = 100_000;
+    let specs = [
+        (
+            "uniform",
+            TraceSpec::Uniform {
+                num_racks: RACKS,
+                len: LEN,
+                seed: 3,
+            },
+        ),
+        (
+            "zipf_1.2",
+            TraceSpec::Zipf {
+                num_racks: RACKS,
+                len: LEN,
+                exponent: 1.2,
+                seed: 3,
+            },
+        ),
+        (
+            "facebook_db",
+            TraceSpec::Facebook {
+                cluster: FacebookCluster::Database,
+                num_racks: RACKS,
+                len: LEN,
+                seed: 3,
+            },
+        ),
+        (
+            "facebook_hadoop",
+            TraceSpec::Facebook {
+                cluster: FacebookCluster::Hadoop,
+                num_racks: RACKS,
+                len: LEN,
+                seed: 3,
+            },
+        ),
+    ];
+    let mut group = c.benchmark_group("traces_fill");
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(200))
+        .measurement_time(Duration::from_secs(1))
+        .throughput(Throughput::Elements(LEN as u64));
+    for (name, spec) in specs {
+        let mut source = spec.source();
+        let mut buf = vec![Pair::new(0, 1); 1024];
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                source.reset();
+                let mut acc = 0u64;
+                loop {
+                    let n = source.fill(&mut buf);
+                    acc += buf[..n].iter().map(|p| p.lo() as u64).sum::<u64>();
+                    if n < buf.len() {
+                        break;
+                    }
+                }
+                black_box(acc)
+            })
+        });
+    }
+    group.finish();
+}
+
 fn topology_distances(c: &mut Criterion) {
     let mut group = c.benchmark_group("topology");
     group
@@ -157,6 +229,7 @@ criterion_group!(
     benches,
     paging_policies,
     indexed_set_and_alias,
+    traces_fill,
     topology_distances,
     ell_lookup
 );

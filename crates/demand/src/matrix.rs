@@ -51,7 +51,7 @@ impl Default for MicrosoftParams {
 /// — same seed streams, same draw order — kept as a standalone function so
 /// the Microsoft generator's sampled request sequences stay byte-identical
 /// (its alias table is built over *this* weight ordering; see
-/// `crates/traces/tests/stream_equivalence.rs`).
+/// `crates/traces/tests/stream_digests.rs`).
 pub fn microsoft_pair_weights(
     num_racks: usize,
     params: MicrosoftParams,

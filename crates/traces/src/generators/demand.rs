@@ -27,8 +27,7 @@ use rand::SeedableRng;
 /// byte-identical, while [`MatrixKernel::from_matrix`] uses the canonical
 /// triangle order of a [`DemandMatrix`].
 pub struct MatrixKernel {
-    pairs: Vec<Pair>,
-    table: AliasTable,
+    table: AliasTable<Pair>,
 }
 
 impl MatrixKernel {
@@ -41,21 +40,20 @@ impl MatrixKernel {
     pub fn from_weighted_pairs(pairs: Vec<Pair>, weights: &[f64]) -> Self {
         assert_eq!(pairs.len(), weights.len(), "pair/weight lists must align");
         Self {
-            table: AliasTable::new(weights),
-            pairs,
+            table: AliasTable::relabeled_rows(weights, [pairs.as_slice()]),
         }
     }
 }
 
 impl SourceKernel for MatrixKernel {
     fn emit(&mut self, _t: usize, rng: &mut SmallRng) -> Pair {
-        self.pairs[self.table.sample(rng) as usize]
+        self.table.sample(rng)
     }
 
     fn emit_batch(&mut self, _t0: usize, out: &mut [Pair], rng: &mut SmallRng) {
-        let (pairs, table) = (self.pairs.as_slice(), &self.table);
+        let table = &self.table;
         for slot in out.iter_mut() {
-            *slot = pairs[table.sample(rng) as usize];
+            *slot = table.sample(rng);
         }
     }
 }
@@ -80,8 +78,7 @@ pub fn matrix_trace(matrix: &DemandMatrix, len: usize, seed: u64) -> Trace {
 /// Kernel of [`sequence_source`]: one alias table per phase, switched as
 /// the stream position crosses phase boundaries.
 pub struct SequenceKernel {
-    pairs: Vec<Pair>,
-    tables: Vec<AliasTable>,
+    tables: Vec<AliasTable<Pair>>,
     ends: Vec<usize>,
     current: usize,
 }
@@ -94,10 +91,9 @@ impl SequenceKernel {
         let tables = sequence
             .phases()
             .iter()
-            .map(|p| AliasTable::new(p.matrix.weights()))
+            .map(|p| AliasTable::relabeled_rows(p.matrix.weights(), [pairs.as_slice()]))
             .collect();
         Self {
-            pairs,
             tables,
             ends: sequence.phase_ends(),
             current: 0,
@@ -110,7 +106,7 @@ impl SourceKernel for SequenceKernel {
         while t >= self.ends[self.current] {
             self.current += 1;
         }
-        self.pairs[self.tables[self.current].sample(rng) as usize]
+        self.tables[self.current].sample(rng)
     }
 
     fn emit_batch(&mut self, t0: usize, out: &mut [Pair], rng: &mut SmallRng) {
@@ -123,9 +119,9 @@ impl SourceKernel for SequenceKernel {
                 self.current += 1;
             }
             let take = (out.len() - written).min(self.ends[self.current] - t);
-            let (pairs, table) = (self.pairs.as_slice(), &self.tables[self.current]);
+            let table = &self.tables[self.current];
             for slot in &mut out[written..written + take] {
-                *slot = pairs[table.sample(rng) as usize];
+                *slot = table.sample(rng);
             }
             written += take;
             t += take;

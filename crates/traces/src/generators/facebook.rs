@@ -29,9 +29,9 @@ use crate::sampler::{zipf_weights, AliasTable};
 use crate::source::{RequestSource, SeededSource, SourceKernel};
 use crate::trace::Trace;
 use dcn_topology::Pair;
-use dcn_util::rngx::{derive_seed, shuffle};
+use dcn_util::rngx::{derive_seed, shuffle, Coin, UniformBelow};
 use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 
 /// Which Facebook cluster to emulate (Fig. 1 / 2 / 3 of the paper).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -100,81 +100,128 @@ impl FacebookParams {
     }
 }
 
-/// Bounded LRU set of recent pairs with O(1) membership-refresh and uniform
-/// sampling (ring buffer + recency map; duplicates in the ring are resolved
-/// lazily).
+/// Bounded FIFO window of recent pairs with O(1) push and uniform
+/// sampling; duplicates stay, so a recurring pair is sampled more often.
 struct WorkingSet {
     ring: std::collections::VecDeque<Pair>,
-    cap: usize,
+    /// The index draw over a full ring.
+    full: UniformBelow,
 }
 
 impl WorkingSet {
     fn new(cap: usize) -> Self {
         Self {
             ring: std::collections::VecDeque::with_capacity(cap + 1),
-            cap,
+            full: UniformBelow::new(cap as u64),
         }
     }
 
+    #[inline]
     fn push(&mut self, p: Pair) {
         self.ring.push_back(p);
-        if self.ring.len() > self.cap {
+        if self.ring.len() as u64 > self.full.span() {
             self.ring.pop_front();
         }
     }
 
+    /// A uniform pair of the window, drawn as `random_range(0..len)`.
+    #[inline(always)]
     fn sample(&self, rng: &mut SmallRng) -> Option<Pair> {
-        if self.ring.is_empty() {
-            None
+        let len = self.ring.len() as u64;
+        if len == self.full.span() {
+            Some(self.ring[self.full.sample(rng) as usize])
         } else {
-            Some(self.ring[rng.random_range(0..self.ring.len())])
+            self.sample_filling(rng)
         }
+    }
+
+    /// [`sample`](Self::sample) before the ring is full.
+    #[cold]
+    fn sample_filling(&self, rng: &mut SmallRng) -> Option<Pair> {
+        let len = self.ring.len() as u64;
+        (len > 0).then(|| self.ring[UniformBelow::new(len).sample(rng) as usize])
     }
 }
 
 /// Kernel of [`facebook_source`]: the Zipf spatial base is frozen at setup,
 /// the working set and phase pairs evolve per request.
 pub struct FacebookKernel {
-    params: FacebookParams,
-    src_perm: Vec<u32>,
-    src_table: AliasTable,
-    dst_tables: Vec<(Vec<u32>, AliasTable)>,
+    phase_len: usize,
+    phase_pairs: usize,
+    p_phase: Coin,
+    p_burst: Coin,
+    /// Source-rack table whose labels are the racks themselves.
+    src: AliasTable,
+    /// One row per source rack, labeled with that source's partners.
+    dst: AliasTable,
     working: WorkingSet,
     phase_hot: Vec<Pair>,
+    /// The index draw over `phase_hot` (which always holds `phase_pairs`).
+    phase_pick: UniformBelow,
 }
 
 impl FacebookKernel {
+    #[inline]
     fn sample_fresh(&self, rng: &mut SmallRng) -> Pair {
-        let src = self.src_perm[self.src_table.sample(rng) as usize];
-        let (partners, table) = &self.dst_tables[src as usize];
-        let dst = partners[table.sample(rng) as usize];
+        let src = self.src.sample(rng);
+        let dst = self.dst.sample_row(src as usize, rng);
         Pair::new(src, dst)
+    }
+
+    /// Hadoop-style shuffle phases: draws the new hot set at a phase border.
+    fn enter_phase(&mut self, rng: &mut SmallRng) {
+        self.phase_hot.clear();
+        for _ in 0..self.phase_pairs {
+            let fresh = self.sample_fresh(rng);
+            self.phase_hot.push(fresh);
+        }
+    }
+
+    /// One request, after the phase border (if any) at its position.
+    #[inline(always)]
+    fn step(&mut self, rng: &mut SmallRng) -> Pair {
+        let pair = if !self.phase_hot.is_empty() && self.p_phase.flip(rng) {
+            self.phase_hot[self.phase_pick.sample(rng) as usize]
+        } else if self.p_burst.flip(rng) {
+            match self.working.sample(rng) {
+                Some(p) => p,
+                None => self.sample_fresh(rng),
+            }
+        } else {
+            self.sample_fresh(rng)
+        };
+        self.working.push(pair);
+        pair
     }
 }
 
 impl SourceKernel for FacebookKernel {
     fn emit(&mut self, t: usize, rng: &mut SmallRng) -> Pair {
-        // Hadoop-style shuffle phases: refresh the hot set at phase borders.
-        if self.params.phase_len > 0 && t % self.params.phase_len == 0 {
-            self.phase_hot.clear();
-            for _ in 0..self.params.phase_pairs {
-                let fresh = self.sample_fresh(rng);
-                self.phase_hot.push(fresh);
-            }
+        if self.phase_len > 0 && t.is_multiple_of(self.phase_len) {
+            self.enter_phase(rng);
         }
-        let pair =
-            if !self.phase_hot.is_empty() && rng.random_range(0.0..1.0f64) < self.params.p_phase {
-                self.phase_hot[rng.random_range(0..self.phase_hot.len())]
-            } else if rng.random_range(0.0..1.0f64) < self.params.p_burst {
-                match self.working.sample(rng) {
-                    Some(p) => p,
-                    None => self.sample_fresh(rng),
+        self.step(rng)
+    }
+
+    fn emit_batch(&mut self, t0: usize, out: &mut [Pair], rng: &mut SmallRng) {
+        // One inner loop per stretch between phase borders.
+        let mut t = t0;
+        let mut written = 0;
+        while written < out.len() {
+            let mut take = out.len() - written;
+            if self.phase_len > 0 {
+                let into_phase = t % self.phase_len;
+                if into_phase == 0 {
+                    self.enter_phase(rng);
                 }
-            } else {
-                self.sample_fresh(rng)
-            };
-        self.working.push(pair);
-        pair
+                take = take.min(self.phase_len - into_phase);
+            }
+            for slot in &mut out[written..written + take] {
+                *slot = self.step(rng);
+            }
+            written += take;
+            t += take;
+        }
     }
 
     fn reset_state(&mut self) {
@@ -196,26 +243,31 @@ pub fn facebook_source(
     // Spatial base: Zipf-over-permutation source popularity...
     let mut src_perm: Vec<u32> = (0..num_racks as u32).collect();
     shuffle(&mut src_perm, &mut rng);
-    let src_table = AliasTable::new(&zipf_weights(num_racks, params.src_skew));
     // ...and an independent partner ranking per source.
-    let dst_tables: Vec<(Vec<u32>, AliasTable)> = (0..num_racks)
+    let partners: Vec<Vec<u32>> = (0..num_racks as u32)
         .map(|s| {
-            let mut partners: Vec<u32> = (0..num_racks as u32).filter(|&v| v != s as u32).collect();
+            let mut partners: Vec<u32> = (0..num_racks as u32).filter(|&v| v != s).collect();
             shuffle(&mut partners, &mut rng);
-            (
-                partners,
-                AliasTable::new(&zipf_weights(num_racks - 1, params.dst_skew)),
-            )
+            partners
         })
         .collect();
 
     let kernel = FacebookKernel {
-        params,
-        src_perm,
-        src_table,
-        dst_tables,
+        phase_len: params.phase_len,
+        phase_pairs: params.phase_pairs,
+        p_phase: Coin::new(params.p_phase),
+        p_burst: Coin::new(params.p_burst),
+        src: AliasTable::relabeled_rows(
+            &zipf_weights(num_racks, params.src_skew),
+            [src_perm.as_slice()],
+        ),
+        dst: AliasTable::relabeled_rows(
+            &zipf_weights(num_racks - 1, params.dst_skew),
+            partners.iter().map(Vec::as_slice),
+        ),
         working: WorkingSet::new(params.working_set.max(1)),
         phase_hot: Vec::new(),
+        phase_pick: UniformBelow::new(params.phase_pairs.max(1) as u64),
     };
     SeededSource::new(kernel, rng, len, num_racks, format!("facebook({params:?})"))
 }

@@ -15,12 +15,12 @@
 //! committed, replayable artifact: the regression corpus under
 //! `crates/adversary/corpus/` is exactly these JSON documents.
 
-use crate::sampler::{zipf_weights, AliasTable};
+use crate::sampler::{zipf_weights, AliasTable, UniformPairs};
 use crate::source::{RequestSource, SeededSource, SourceKernel};
 use crate::trace::Trace;
 use dcn_topology::Pair;
 use dcn_util::json::{parse_json, to_json_string, JsonValue};
-use dcn_util::rngx::{derive_seed, shuffle};
+use dcn_util::rngx::{derive_seed, shuffle, Coin};
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use serde::Serialize;
@@ -376,35 +376,24 @@ fn decode_segment(v: &JsonValue) -> Result<Segment, String> {
     }
 }
 
-/// Uniform distinct pair over `0..n` — same two-draw scheme as the
-/// synthetic generators, replicated here so genome streams stay pinned
-/// even if the synthetic module's private helper changes.
-#[inline]
-fn uniform_pair(rng: &mut SmallRng, n: usize) -> Pair {
-    let a = rng.random_range(0..n as u32);
-    let mut b = rng.random_range(0..n as u32 - 1);
-    if b >= a {
-        b += 1;
-    }
-    Pair::new(a, b)
-}
-
 /// Per-segment generation rule; one [`SeededSource`] wraps each, so `t` is
 /// segment-local and the RNG stream is the segment's own.
 pub enum SegmentKernel {
     /// See [`Segment::Uniform`].
     Uniform {
-        /// Rack count.
-        n: usize,
+        /// Pairs over all racks.
+        pairs: UniformPairs,
     },
     /// See [`Segment::Hotspot`].
     Hotspot {
         /// Rack count.
-        n: usize,
-        /// Hot-set size.
-        num_hot: usize,
+        n: u32,
+        /// Pairs over all racks.
+        all: UniformPairs,
+        /// Pairs over the hot set, before the offset rotation.
+        hot: UniformPairs,
         /// Hot probability.
-        p_hot: f64,
+        p_hot: Coin,
         /// Hot-set start rack.
         offset: u32,
     },
@@ -424,10 +413,9 @@ pub enum SegmentKernel {
     },
     /// See [`Segment::ZipfRamp`].
     ZipfRamp {
-        /// Pairs in rank order.
-        pairs: Vec<Pair>,
-        /// One alias table per ramp step.
-        tables: Vec<AliasTable>,
+        /// One alias table per ramp step, labeled with the pairs in rank
+        /// order.
+        tables: Vec<AliasTable<Pair>>,
         /// Segment length (for the step index).
         len: usize,
     },
@@ -436,21 +424,21 @@ pub enum SegmentKernel {
 impl SourceKernel for SegmentKernel {
     fn emit(&mut self, t: usize, rng: &mut SmallRng) -> Pair {
         match self {
-            SegmentKernel::Uniform { n } => uniform_pair(rng, *n),
+            SegmentKernel::Uniform { pairs } => pairs.sample(rng),
             SegmentKernel::Hotspot {
                 n,
-                num_hot,
+                all,
+                hot,
                 p_hot,
                 offset,
             } => {
-                if rng.random_range(0.0..1.0f64) < *p_hot {
-                    let p = uniform_pair(rng, *num_hot);
+                if p_hot.flip(rng) {
+                    let p = hot.sample(rng);
                     // Rotate the hot pair into the window starting at
                     // `offset` (distinctness is rotation-invariant).
-                    let n = *n as u32;
-                    Pair::new((p.lo() + *offset) % n, (p.hi() + *offset) % n)
+                    Pair::new((p.lo() + *offset) % *n, (p.hi() + *offset) % *n)
                 } else {
-                    uniform_pair(rng, *n)
+                    all.sample(rng)
                 }
             }
             SegmentKernel::Permutation { pairs } => pairs[t % pairs.len()],
@@ -465,9 +453,9 @@ impl SourceKernel for SegmentKernel {
                 }
                 *current
             }
-            SegmentKernel::ZipfRamp { pairs, tables, len } => {
+            SegmentKernel::ZipfRamp { tables, len } => {
                 let step = (t * tables.len() / *len).min(tables.len() - 1);
-                pairs[tables[step].sample(rng) as usize]
+                tables[step].sample(rng)
             }
         }
     }
@@ -481,7 +469,9 @@ fn lower_segment(seg: &Segment, num_racks: usize) -> SeededSource<SegmentKernel>
         Segment::Uniform { len, seed } => {
             let rng = SmallRng::seed_from_u64(derive_seed(seed, 0x6E01));
             SeededSource::new(
-                SegmentKernel::Uniform { n: num_racks },
+                SegmentKernel::Uniform {
+                    pairs: UniformPairs::new(num_racks),
+                },
                 rng,
                 len,
                 num_racks,
@@ -498,9 +488,10 @@ fn lower_segment(seg: &Segment, num_racks: usize) -> SeededSource<SegmentKernel>
             let rng = SmallRng::seed_from_u64(derive_seed(seed, 0x6E02));
             SeededSource::new(
                 SegmentKernel::Hotspot {
-                    n: num_racks,
-                    num_hot,
-                    p_hot,
+                    n: num_racks as u32,
+                    all: UniformPairs::new(num_racks),
+                    hot: UniformPairs::new(num_hot),
+                    p_hot: Coin::new(p_hot),
                     offset: offset as u32,
                 },
                 rng,
@@ -556,17 +547,17 @@ fn lower_segment(seg: &Segment, num_racks: usize) -> SeededSource<SegmentKernel>
                 .collect();
             shuffle(&mut pairs, &mut rng);
             let steps = ZIPF_RAMP_STEPS.min(len).max(1);
-            let tables: Vec<AliasTable> = (0..steps)
+            let tables: Vec<AliasTable<Pair>> = (0..steps)
                 .map(|k| {
                     // Step k covers positions [k·len/steps, (k+1)·len/steps);
                     // its exponent is the ramp value at the step midpoint.
                     let frac = (k as f64 + 0.5) / steps as f64;
                     let s = s_start + (s_end - s_start) * frac;
-                    AliasTable::new(&zipf_weights(pairs.len(), s))
+                    AliasTable::relabeled_rows(&zipf_weights(pairs.len(), s), [pairs.as_slice()])
                 })
                 .collect();
             SeededSource::new(
-                SegmentKernel::ZipfRamp { pairs, tables, len },
+                SegmentKernel::ZipfRamp { tables, len },
                 rng,
                 len,
                 num_racks,

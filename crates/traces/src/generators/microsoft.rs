@@ -16,7 +16,7 @@
 //! preset over it. The kernel is the generic [`MatrixKernel`], fed the
 //! historical `(pairs, weights)` construction order so seeded streams are
 //! byte-identical to what this generator produced before the demand layer
-//! existed (pinned by `tests/stream_equivalence.rs`).
+//! existed (pinned by `tests/stream_digests.rs`).
 
 use crate::generators::demand::MatrixKernel;
 use crate::source::{RequestSource, SeededSource};

@@ -7,40 +7,28 @@
 //! Each workload is a lazy [`RequestSource`]; the `*_trace` functions are
 //! thin [`RequestSource::materialize`] adapters kept for eager callers.
 
-use crate::sampler::{zipf_weights, AliasTable};
+use crate::sampler::{zipf_weights, AliasTable, UniformPairs};
 use crate::source::{RequestSource, SeededSource, SourceKernel};
 use crate::trace::Trace;
 use dcn_topology::Pair;
-use dcn_util::rngx::{derive_seed, shuffle};
+use dcn_util::rngx::{derive_seed, shuffle, Coin};
 use rand::rngs::SmallRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 
-/// Draws a uniform distinct pair over `0..n` — two RNG draws, matching the
-/// historical eager generators draw-for-draw.
-#[inline]
-fn uniform_pair(rng: &mut SmallRng, n: usize) -> Pair {
-    let a = rng.random_range(0..n as u32);
-    let mut b = rng.random_range(0..n as u32 - 1);
-    if b >= a {
-        b += 1;
-    }
-    Pair::new(a, b)
-}
-
-/// Kernel of [`uniform_source`].
+/// Kernel of [`uniform_source`]: both bounded draws are precomputed.
 pub struct UniformKernel {
-    num_racks: usize,
+    pairs: UniformPairs,
 }
 
 impl SourceKernel for UniformKernel {
     fn emit(&mut self, _t: usize, rng: &mut SmallRng) -> Pair {
-        uniform_pair(rng, self.num_racks)
+        self.pairs.sample(rng)
     }
 
     fn emit_batch(&mut self, _t0: usize, out: &mut [Pair], rng: &mut SmallRng) {
-        let n = self.num_racks;
+        let pairs = self.pairs;
         for slot in out.iter_mut() {
-            *slot = uniform_pair(rng, n);
+            *slot = pairs.sample(rng);
         }
     }
 }
@@ -50,7 +38,9 @@ pub fn uniform_source(num_racks: usize, len: usize, seed: u64) -> SeededSource<U
     assert!(num_racks >= 2);
     let rng = SmallRng::seed_from_u64(derive_seed(seed, 0x01));
     SeededSource::new(
-        UniformKernel { num_racks },
+        UniformKernel {
+            pairs: UniformPairs::new(num_racks),
+        },
         rng,
         len,
         num_racks,
@@ -110,17 +100,17 @@ pub fn permutation_trace(num_racks: usize, len: usize, seed: u64) -> Trace {
 
 /// Kernel of [`hotspot_source`].
 pub struct HotspotKernel {
-    num_racks: usize,
-    num_hot: usize,
-    p_hot: f64,
+    all: UniformPairs,
+    hot: UniformPairs,
+    p_hot: Coin,
 }
 
 impl SourceKernel for HotspotKernel {
     fn emit(&mut self, _t: usize, rng: &mut SmallRng) -> Pair {
-        if rng.random_range(0.0..1.0f64) < self.p_hot {
-            uniform_pair(rng, self.num_hot)
+        if self.p_hot.flip(rng) {
+            self.hot.sample(rng)
         } else {
-            uniform_pair(rng, self.num_racks)
+            self.all.sample(rng)
         }
     }
 }
@@ -138,9 +128,9 @@ pub fn hotspot_source(
     let rng = SmallRng::seed_from_u64(derive_seed(seed, 0x03));
     SeededSource::new(
         HotspotKernel {
-            num_racks,
-            num_hot,
-            p_hot,
+            all: UniformPairs::new(num_racks),
+            hot: UniformPairs::new(num_hot),
+            p_hot: Coin::new(p_hot),
         },
         rng,
         len,
@@ -154,21 +144,21 @@ pub fn hotspot_trace(num_racks: usize, len: usize, num_hot: usize, p_hot: f64, s
     hotspot_source(num_racks, len, num_hot, p_hot, seed).materialize()
 }
 
-/// Kernel of [`zipf_pair_source`].
+/// Kernel of [`zipf_pair_source`]: an alias table labeled with the pairs
+/// in rank order.
 pub struct ZipfKernel {
-    pairs: Vec<Pair>,
-    table: AliasTable,
+    table: AliasTable<Pair>,
 }
 
 impl SourceKernel for ZipfKernel {
     fn emit(&mut self, _t: usize, rng: &mut SmallRng) -> Pair {
-        self.pairs[self.table.sample(rng) as usize]
+        self.table.sample(rng)
     }
 
     fn emit_batch(&mut self, _t0: usize, out: &mut [Pair], rng: &mut SmallRng) {
-        let (pairs, table) = (self.pairs.as_slice(), &self.table);
+        let table = &self.table;
         for slot in out.iter_mut() {
-            *slot = pairs[table.sample(rng) as usize];
+            *slot = table.sample(rng);
         }
     }
 }
@@ -189,9 +179,9 @@ pub fn zipf_pair_source(
         .collect();
     // Random rank assignment.
     shuffle(&mut pairs, &mut rng);
-    let table = AliasTable::new(&zipf_weights(pairs.len(), s));
+    let table = AliasTable::relabeled_rows(&zipf_weights(pairs.len(), s), [pairs.as_slice()]);
     SeededSource::new(
-        ZipfKernel { pairs, table },
+        ZipfKernel { table },
         rng,
         len,
         num_racks,

@@ -15,8 +15,9 @@
 //! Determinism contract: for a fixed constructor input, the streamed
 //! sequence is **byte-identical** to what the eager `*_trace` functions
 //! returned before this layer existed — the seeded xoshiro256++ draws happen
-//! in exactly the same order, only lazily. Tests in
-//! `tests/stream_equivalence.rs` pin this down for every generator.
+//! in exactly the same order, only lazily. `tests/stream_digests.rs` pins
+//! every generator's bytes; `tests/stream_equivalence.rs` pins streams
+//! against their materialized traces and `fill` against `next_request`.
 //!
 //! [`TraceSpec`] is the serializable-by-value description of a workload
 //! (generator + parameters + trace seed) that sweep jobs carry, so each

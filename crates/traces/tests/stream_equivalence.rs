@@ -238,19 +238,19 @@ fn trace_spec_source_equals_trace_spec_as_trace() {
 
 /// One boxed source per kernel family (synthetic, alias-table, working-set,
 /// block, matrix, sequence), so batch-path tests sweep every `emit_batch`
-/// override plus the default loop.
+/// override plus the default loop. Facebook appears once per preset: Hadoop
+/// drives the phase-border split of its `emit_batch`, Database and
+/// WebService the phase-free loop.
 fn all_kernel_sources(len: usize, seed: u64) -> Vec<Box<dyn RequestSource>> {
+    let facebook = |cluster| Box::new(facebook_cluster_source(cluster, 10, len, seed));
     vec![
         Box::new(uniform_source(8, len, seed)),
         Box::new(permutation_source(8, len, seed)),
         Box::new(hotspot_source(8, len, 3, 0.7, seed)),
         Box::new(zipf_pair_source(8, len, 1.1, seed)),
-        Box::new(facebook_cluster_source(
-            FacebookCluster::Hadoop,
-            10,
-            len,
-            seed,
-        )),
+        facebook(FacebookCluster::Hadoop),
+        facebook(FacebookCluster::Database),
+        facebook(FacebookCluster::WebService),
         Box::new(microsoft_source(8, len, MicrosoftParams::default(), seed)),
         Box::new(star_uniform_source(4, 3, len.div_ceil(3), seed)),
         Box::new(star_round_robin_source(4, 3, len.div_ceil(3))),
