@@ -13,7 +13,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use dcn_core::algorithms::AlgorithmKind;
 use dcn_core::scheduler::BatchOutcome;
 use dcn_core::{run, SimConfig};
-use dcn_matching::{BTreeRecencyMatching, LruBMatching, RecencyMatching};
 use dcn_topology::{builders, DistanceMatrix, Pair};
 use dcn_traces::{zipf_pair_source, RequestSource};
 use std::hint::black_box;
@@ -66,11 +65,18 @@ fn serve_run_batch_sizes(c: &mut Criterion) {
 
 /// Scheduler-level inner loop: per-request `serve` + accounting fold
 /// (through the trait object, as the unbatched simulator dispatched) vs one
-/// `serve_batch` call per chunk.
+/// `serve_batch` call per chunk — for both online algorithms and the two
+/// oblivious baselines (a rotor rotating every 10 000 requests, so some
+/// chunks straddle a rotation).
 fn serve_inner_batched_vs_unbatched(c: &mut Criterion) {
     let dm = distances();
     let requests = zipf_requests();
-    for algorithm in [AlgorithmKind::Rbma { lazy: true }, AlgorithmKind::Bma] {
+    for algorithm in [
+        AlgorithmKind::Rbma { lazy: true },
+        AlgorithmKind::Bma,
+        AlgorithmKind::Oblivious,
+        AlgorithmKind::Rotor { period: 10_000 },
+    ] {
         let mut group = c.benchmark_group(format!("batch_serve_{}_b12_zipf", algorithm.label()));
         group
             .sample_size(10)
@@ -89,8 +95,6 @@ fn serve_inner_batched_vs_unbatched(c: &mut Criterion) {
             });
         });
         for batch in BATCH_SIZES {
-            // "batched" is the default serve path: since the bucketing
-            // refactor that means the sorted (bucket-preprocessed) pass.
             group.bench_with_input(
                 BenchmarkId::new("batched", batch),
                 &batch,
@@ -100,22 +104,6 @@ fn serve_inner_batched_vs_unbatched(c: &mut Criterion) {
                         let mut acc = BatchOutcome::default();
                         for chunk in requests.chunks(batch) {
                             s.serve_batch(chunk, &dm, &mut acc);
-                        }
-                        black_box(acc)
-                    });
-                },
-            );
-            // The pre-bucketing fused loop, kept as an explicit point so the
-            // sorted-vs-unsorted win is a first-class benchmark artifact.
-            group.bench_with_input(
-                BenchmarkId::new("unsorted", batch),
-                &batch,
-                |bench, &batch| {
-                    bench.iter(|| {
-                        let mut s = algorithm.build_online(dm.clone(), DEGREE, ALPHA, 5);
-                        let mut acc = BatchOutcome::default();
-                        for chunk in requests.chunks(batch) {
-                            s.serve_batch_unsorted(chunk, &dm, &mut acc);
                         }
                         black_box(acc)
                     });
@@ -193,13 +181,15 @@ fn fill_batched_vs_unbatched(c: &mut Criterion) {
     group.finish();
 }
 
-/// Specials-density axis: the standard point at α ∈ {4, 10, 40}. The
+/// Specials-density axis: the standard point at α ∈ {4, 10, 40, 160}. The
 /// Theorem-1 period `k_e = ⌈α/ℓ_e⌉` makes α the direct dial on how many
 /// requests take the Theorem-2 specials path (at α = 4 and fat-tree
 /// ℓ ∈ {2, 4}, k_e ∈ {1, 2}: most requests are special), so this group
 /// gates the specials fast path against the criterion baseline exactly
 /// like every other hot-path change: a regression hiding in the rare
-/// path shows up here before it shows up in the α = 10 headline.
+/// path shows up here before it shows up in the α = 10 headline. At
+/// α = 160 specials are rare and nearly every request is an ordinary
+/// counter bump.
 fn serve_specials_density(c: &mut Criterion) {
     let dm = distances();
     let requests = zipf_requests();
@@ -209,7 +199,7 @@ fn serve_specials_density(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2))
         .throughput(Throughput::Elements(requests.len() as u64));
-    for alpha in [4u64, 10, 40] {
+    for alpha in [4u64, 10, 40, 160] {
         group.bench_with_input(
             BenchmarkId::new("batched", alpha),
             &alpha,
@@ -230,90 +220,6 @@ fn serve_specials_density(c: &mut Criterion) {
             },
         );
     }
-    group.finish();
-}
-
-/// Intra-run sharding: one simulation, the bucketing scan spread over an
-/// [`dcn_core::IntraPool`] of 1/2/4 workers (1 = no pool, the sequential
-/// sorted path). Reports are byte-identical at every width — this group
-/// measures what the sharding costs/buys on this host.
-fn serve_intra_widths(c: &mut Criterion) {
-    let dm = distances();
-    let mut group = c.benchmark_group("batch_intra_rbma_b12_zipf");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2))
-        .throughput(Throughput::Elements(LEN as u64));
-    let algorithm = AlgorithmKind::Rbma { lazy: true };
-    for intra in [1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::new("intra", intra), &intra, |bench, &intra| {
-            let config = SimConfig::default()
-                .with_batch_size(1024)
-                .with_intra_threads(intra);
-            let mut source = zipf_pair_source(RACKS, LEN, EXPONENT, 5);
-            bench.iter(|| {
-                source.reset();
-                let mut s = algorithm.build_online(dm.clone(), DEGREE, ALPHA, 5);
-                black_box(run(s.as_mut(), &dm, ALPHA, &mut source, &config))
-            });
-        });
-    }
-    group.finish();
-}
-
-/// The isolated BMA hit-path upkeep: touching matched edges in the recency
-/// index, flat intrusive LRU vs the historical BTreeMap reference, with
-/// everything else (counters, routing lookups, dispatch) stripped away.
-/// This is the `bma/recency_upkeep` point that makes the flattening win
-/// visible in the benchmark artifact, not only in the end-to-end number.
-fn bma_recency_upkeep(c: &mut Criterion) {
-    // Populate both indexes identically: a b-regular-ish edge set at
-    // paper-scale b, then replay a skewed hit sequence over those edges.
-    fn populate<M: RecencyMatching>() -> (M, Vec<Pair>) {
-        let mut m = M::new(RACKS, DEGREE);
-        let mut edges = Vec::new();
-        for v in 0..RACKS as u32 {
-            for k in 1..=(DEGREE as u32 / 2) {
-                let pair = Pair::new(v, (v + k) % RACKS as u32);
-                if m.matching().can_insert(pair) {
-                    m.insert_mru(pair);
-                    edges.push(pair);
-                }
-            }
-        }
-        // Zipf-flavored hit schedule over the matched edges (hot head).
-        let hits: Vec<Pair> = (0..LEN)
-            .map(|i| edges[(i * i + i / 3) % edges.len().min(64)])
-            .collect();
-        (m, hits)
-    }
-    let mut group = c.benchmark_group("bma");
-    group
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(2))
-        .throughput(Throughput::Elements(LEN as u64));
-    group.bench_function("recency_upkeep/flat_lru", |bench| {
-        let (mut m, hits) = populate::<LruBMatching>();
-        bench.iter(|| {
-            let mut matched = 0u64;
-            for &pair in &hits {
-                matched += m.touch_hit(pair) as u64;
-            }
-            black_box(matched)
-        });
-    });
-    group.bench_function("recency_upkeep/btree", |bench| {
-        let (mut m, hits) = populate::<BTreeRecencyMatching>();
-        bench.iter(|| {
-            let mut matched = 0u64;
-            for &pair in &hits {
-                matched += m.touch_hit(pair) as u64;
-            }
-            black_box(matched)
-        });
-    });
     group.finish();
 }
 
@@ -407,9 +313,7 @@ criterion_group!(
     serve_run_batch_sizes,
     serve_inner_batched_vs_unbatched,
     serve_specials_density,
-    serve_intra_widths,
     fill_batched_vs_unbatched,
-    bma_recency_upkeep,
     telemetry_overhead,
     failpoint_overhead
 );

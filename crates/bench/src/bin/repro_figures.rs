@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! repro_figures [--fast] [--scale F] [--threads N] [--shard I/M]
-//!               [--intra-threads N] [--pr N] [--ledger-file PATH]
+//!               [--pr N] [--ledger-file PATH]
 //!               [--out DIR] [--json DIR] [--merge-json DIR]
 //!               [--telemetry DIR] [--journal FILE] [--resume] <target>...
 //! repro_figures --telemetry-diff A.json B.json
@@ -34,14 +34,6 @@
 //! --threads N   work-stealing worker count for job grids (0 = auto, one per
 //!               core — the default). Timing-sensitive serve loops (panel b,
 //!               scaling/sweep rows) stay sequential regardless.
-//! --intra-threads N  intra-run worker count: each simulation that serves
-//!               an intra-sharded column (R-BMA's Phase-A charging, BMA's
-//!               bucketed scan in the scaling target, plus the live
-//!               report-equality assertion) shards its own scan this wide
-//!               (0 = auto, one per core; default 2). Per-simulation width
-//!               — composes with --threads, which fans out across
-//!               simulations, so S workers at width W can occupy S × W
-//!               cores. Reports are byte-identical at any value.
 //! --pr N        PR number to record ledger measurements under (ledger only)
 //! --ledger-file PATH  ledger location (default BENCH_LEDGER.json)
 //! --shard I/M   compute only this shard's slice of a table target's rows
@@ -76,6 +68,9 @@
 //!               quarantined jobs re-run. The merged artifact is
 //!               byte-identical to an uninterrupted run. Requires --journal.
 //!
+//! Any other argument starting with `--` is an error (exit 2), so a
+//! misspelt flag never silently runs with defaults.
+//!
 //! The environment variable `DCN_FAILPOINTS` (e.g.
 //! `sweep.job_claim=panic@5`, `sim.chunk=delay:2ms@10%`) arms deterministic
 //! fault-injection points for chaos testing; see `dcn_util::failpoint`.
@@ -92,6 +87,23 @@ use dcn_core::sweep::{JobFailure, ShardSpec, Supervisor};
 use serde::Serialize;
 use std::path::PathBuf;
 use std::time::Instant;
+
+/// Flags that take a value (the next argument).
+const VALUE_FLAGS: [&str; 10] = [
+    "--out",
+    "--scale",
+    "--json",
+    "--threads",
+    "--shard",
+    "--merge-json",
+    "--pr",
+    "--ledger-file",
+    "--telemetry",
+    "--journal",
+];
+
+/// Flags that stand alone.
+const SWITCH_FLAGS: [&str; 2] = ["--fast", "--resume"];
 
 const TABLE_TARGETS: [&str; 9] = [
     "ablation-alpha",
@@ -129,6 +141,24 @@ fn main() {
         diff_telemetry(a, b);
         return;
     }
+    // Everything else is flags and targets. An unknown flag is a hard
+    // error: a typo in `--resume` must not silently rerun everything.
+    let mut targets: Vec<String> = Vec::new();
+    let mut skip_next = false;
+    for a in &args {
+        if skip_next {
+            skip_next = false;
+        } else if VALUE_FLAGS.contains(&a.as_str()) {
+            skip_next = true;
+        } else if a.starts_with("--") {
+            if !SWITCH_FLAGS.contains(&a.as_str()) {
+                eprintln!("unknown flag: {a}");
+                std::process::exit(2);
+            }
+        } else {
+            targets.push(a.clone());
+        }
+    }
     let out_dir: Option<PathBuf> = value_of("--out").map(PathBuf::from);
     let json_dir: Option<PathBuf> = value_of("--json").map(PathBuf::from);
     let merge_dir: Option<PathBuf> = value_of("--merge-json").map(PathBuf::from);
@@ -155,18 +185,6 @@ fn main() {
             }
         },
         None => 0,
-    };
-    // Intra-run workers for the scaling target (0 = auto; default 2 so the
-    // sharded column and its equality assertion are live even unasked).
-    let intra_threads: usize = match value_of("--intra-threads") {
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("--intra-threads expects a non-negative integer (0 = auto), got {v:?}");
-                std::process::exit(2);
-            }
-        },
-        None => 2,
     };
     let pr: Option<u64> = value_of("--pr").map(|v| match v.parse::<u64>() {
         Ok(n) => n,
@@ -224,35 +242,6 @@ fn main() {
                 eprintln!("--journal {}: {e}", path.display());
                 std::process::exit(2);
             }
-        }
-    }
-    let mut targets: Vec<String> = Vec::new();
-    let mut skip_next = false;
-    for a in &args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if [
-            "--out",
-            "--scale",
-            "--json",
-            "--threads",
-            "--shard",
-            "--merge-json",
-            "--intra-threads",
-            "--pr",
-            "--ledger-file",
-            "--telemetry",
-            "--journal",
-        ]
-        .contains(&a.as_str())
-        {
-            skip_next = true;
-            continue;
-        }
-        if !a.starts_with("--") {
-            targets.push(a.clone());
         }
     }
     if targets.is_empty() {
@@ -503,8 +492,7 @@ fn main() {
                     .iter()
                     .map(|&l| ((l as f64 * scale_factor).round() as usize).max(1))
                     .collect();
-                let (table, specials_share) =
-                    scaling_sweep(&lens, threads, shard_spec, intra_threads);
+                let (table, specials_share) = scaling_sweep(&lens, threads, shard_spec);
                 print_table(
                     "scaling",
                     table,

@@ -11,7 +11,6 @@
 //! than duplicates, so the file stays one row per measurement coordinate.
 
 use dcn_core::algorithms::AlgorithmKind;
-use dcn_core::ServeMode;
 use dcn_topology::{builders, DistanceMatrix};
 use dcn_traces::TraceSpec;
 use dcn_util::json::{parse_json, to_json_string, JsonValue};
@@ -26,8 +25,9 @@ pub struct LedgerEntry {
     pub pr: u64,
     /// Algorithm label (`R-BMA`, `BMA`, ...).
     pub algorithm: String,
-    /// Serve-mode tag: `batched` (the production default path at that PR),
-    /// `unbatched` (`batch_size = 1`), `unsorted-batched`, ...
+    /// Serve-mode tag: `batched` (the production default path at that PR)
+    /// or `unbatched` (`batch_size = 1`); older rows also carry retired
+    /// tags such as `unsorted-batched`.
     pub mode: String,
     /// Serve-loop throughput in million requests per second.
     pub mreq_per_sec: f64,
@@ -174,8 +174,7 @@ pub fn locked_update(
 }
 
 /// Measures the current tree at the standard point and returns this PR's
-/// rows: R-BMA through the sorted/batched, unsorted/batched and
-/// per-request paths, BMA through the default batched path. Strictly
+/// rows: R-BMA batched and per-request, BMA batched. Strictly
 /// sequential (these are wall-clock numbers).
 pub fn measure_standard_point(pr: u64) -> Vec<LedgerEntry> {
     let racks = 100;
@@ -190,7 +189,7 @@ pub fn measure_standard_point(pr: u64) -> Vec<LedgerEntry> {
         exponent: 1.2,
         seed: 5,
     };
-    let measure = |algorithm: &AlgorithmKind, batch_size: usize, mode: ServeMode| {
+    let measure = |algorithm: &AlgorithmKind, batch_size: usize| {
         // Best of three fresh runs: a single wall-clock pass is at the
         // mercy of scheduler preemption and frequency ramps; the fastest
         // run is the least-disturbed estimate of the tree's throughput.
@@ -202,8 +201,7 @@ pub fn measure_standard_point(pr: u64) -> Vec<LedgerEntry> {
                     trace_name: spec.name(),
                     ..Default::default()
                 }
-                .with_batch_size(batch_size)
-                .with_serve_mode(mode);
+                .with_batch_size(batch_size);
                 let mut scheduler = algorithm.build_online(Arc::clone(&dm), b, alpha, 7);
                 let report =
                     dcn_core::run(scheduler.as_mut(), &dm, alpha, source.as_mut(), &config);
@@ -218,25 +216,19 @@ pub fn measure_standard_point(pr: u64) -> Vec<LedgerEntry> {
             pr,
             algorithm: "R-BMA".into(),
             mode: "batched".into(),
-            mreq_per_sec: measure(&rbma, batched, ServeMode::Sorted),
-        },
-        LedgerEntry {
-            pr,
-            algorithm: "R-BMA".into(),
-            mode: "unsorted-batched".into(),
-            mreq_per_sec: measure(&rbma, batched, ServeMode::Unsorted),
+            mreq_per_sec: measure(&rbma, batched),
         },
         LedgerEntry {
             pr,
             algorithm: "R-BMA".into(),
             mode: "unbatched".into(),
-            mreq_per_sec: measure(&rbma, 1, ServeMode::Unsorted),
+            mreq_per_sec: measure(&rbma, 1),
         },
         LedgerEntry {
             pr,
             algorithm: "BMA".into(),
             mode: "batched".into(),
-            mreq_per_sec: measure(&AlgorithmKind::Bma, batched, ServeMode::Sorted),
+            mreq_per_sec: measure(&AlgorithmKind::Bma, batched),
         },
     ]
 }
@@ -334,7 +326,6 @@ mod tests {
             coords,
             vec![
                 ("R-BMA", "batched"),
-                ("R-BMA", "unsorted-batched"),
                 ("R-BMA", "unbatched"),
                 ("BMA", "batched"),
             ]

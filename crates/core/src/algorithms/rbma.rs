@@ -26,21 +26,13 @@
 //! index-addressed marking over the rack universe, allocation-free accesses,
 //! draw-for-draw identical to the generic `Marking` — and the Theorem-1
 //! counters cache `k_e` alongside the count, so the common (ordinary-
-//! request) path is one membership probe of the flat matching plus one hash
-//! bump, with no division and no distance lookup. The batched entry point
-//! ([`OnlineScheduler::serve_batch`]) goes further: it buckets each chunk
-//! by rack pair into a **persistent** slab
-//! ([`crate::batch::PersistentPairSlab`]) that carries each pair's
-//! matched/cost/counter state across chunks, so membership probes, `ℓ_e`
-//! reads and counter fetches are paid once per pair *ever*; ordinary
-//! requests collapse to one multiply-accumulate per distinct pair per
-//! chunk while special requests execute at their precomputed positions in
-//! original request order (RNG draws must fire at the unsorted positions)
-//! — byte-identical to the unsorted fused loop
-//! ([`OnlineScheduler::serve_batch_unsorted`]), which remains available.
+//! request) path is one membership probe of the flat matching mirror plus
+//! one indexed counter bump, with no division and no distance lookup. The
+//! batched entry point ([`OnlineScheduler::serve_batch`]) is that same path
+//! fused into one loop that keeps the chunk's routing and matched totals in
+//! registers; only special requests (every `k_e`-th per pair) leave it for
+//! the paging slow path.
 
-use crate::batch::{PersistentPairSlab, DENSE_RACK_LIMIT};
-use crate::parallel::{IntraPool, ShardSlice};
 use crate::scheduler::{BatchOutcome, OnlineScheduler, ServeOutcome};
 use dcn_matching::BMatching;
 use dcn_paging::{DenseAccess, DenseMarking};
@@ -48,24 +40,12 @@ use dcn_telemetry::{Counter, Telemetry};
 use dcn_topology::{DistanceMatrix, NodeId, Pair};
 use dcn_util::rngx::derive_seed;
 use dcn_util::{FxHashMap, FxHashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Specials share (as a fraction) above which the unpooled `serve_batch`
-/// diverts a chunk to the unsorted fused loop. With the flat stores of
-/// this PR (`matched_set` bitmap probes, `DenseCounters` indexed loads)
-/// the per-request reads the sorted slab pass was built to amortize cost
-/// almost nothing, and measured on the dev container the fused loop is
-/// at par or ahead from ~8% share upward; the cutoff is set just below
-/// the α = 10 standard point (~25–30% specials, which diverts) while
-/// keeping the slab — and its intra-shardable Phase-A scan — the default
-/// in the low-share regime its amortization was designed for. The
-/// intra-pooled entry (`serve_batch_sharded`) never diverts: the fused
-/// loop has nothing to shard.
-const SPECIALS_DENSE_CUTOFF: (u64, u64) = (1, 5);
-
-/// Batched requests observed before the density estimate is trusted.
-const SPECIALS_DISPATCH_WARMUP: u64 = 1024;
+/// Largest rack count whose pair sets and Theorem-1 counters use flat
+/// pair-id-indexed storage (n² slots: ≤ 8 MiB of counters at the limit);
+/// above it both fall back to hash maps.
+const DENSE_RACK_LIMIT: usize = 1024;
 
 /// How evictions from the per-node caches translate to matching removals.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,114 +66,40 @@ struct SpecialCounter {
     k: u32,
 }
 
-/// Per-pair slab entry of the bucketed serve passes: everything the
-/// ordinary-request fast path needs, loaded once per pair per chunk
-/// instead of once per request. `matched`/`cost` are patched in place by
-/// the rare special-request slow path when it changes the matching.
-///
-/// In the bucketed (persistent) serve paths — sequential and
-/// intra-sharded alike — this *is* the pair's authoritative state,
-/// carried across chunks in a [`PersistentPairSlab`].
-#[derive(Clone, Copy, Debug, Default)]
-struct RbmaPairState {
-    /// Whether the pair is currently a matching edge.
-    matched: bool,
-    /// Routing cost of the next request to this pair (1 or `ℓ_e`).
-    cost: u32,
-    /// Theorem-1 counter. The chunk pre-pass reads it once, derives the
-    /// full special schedule, and advances it in closed form.
-    count: u32,
-    /// Cached period `k_e`.
-    k: u32,
-    /// Occurrence index (1-based) of the pair's next special request in
-    /// this chunk, advanced as the special schedule executes.
-    next_o: u32,
-    /// Conservative hint: `false` guarantees the pair is NOT in the
-    /// lazy-removal `marked` set, letting a matched special skip the
-    /// hash removal. `true` means "maybe" — maintained from the mark
-    /// scratch after every special, refreshed on store migration.
-    maybe_marked: bool,
-}
-
 /// The randomized online b-matching scheduler.
 pub struct Rbma {
     dm: Arc<DistanceMatrix>,
     alpha: u64,
     mode: RemovalMode,
-    /// Per-pair counter toward the next special request (Theorem 1) —
-    /// the authoritative store while `dense` is false (per-request and
-    /// unsorted-batched serving, and racks above [`DENSE_RACK_LIMIT`]).
+    /// Per-pair counter toward the next special request (Theorem 1).
     counters: DenseCounters,
-    /// Dense pair-slot store of the default bucketed serve path —
-    /// authoritative while `dense` is true. Holds the Theorem-1 counter
-    /// *and* the cached `matched`/`cost` view per pair, persistent
-    /// across chunks, so the bucketed pass pays no hash traffic at all.
-    pslab: PersistentPairSlab<RbmaPairState>,
-    /// Which of the two stores above is current; serve paths migrate
-    /// lazily on entry ([`Rbma::ensure_dense`] / [`Rbma::ensure_hash`]).
-    dense: bool,
     /// Per-rack randomized marking caches (Theorem 2). Page ids are the
     /// partner rack ids — a dense universe, hence the flat layout.
     caches: Vec<DenseMarking>,
     matching: BMatching,
     /// Mirror of `matching`'s edge set (kept in lockstep by the three
     /// mutation sites below): turns the per-eviction "is the victim
-    /// edge matched?" test and the per-request entry probes of the
-    /// unbatched paths into one bit test instead of an adjacency scan.
+    /// edge matched?" test and the per-request entry probe into one bit
+    /// test instead of an adjacency scan.
     matched_set: DensePairSet,
     /// Lazy mode: edges marked for removal but still carried in `M`
-    /// (dense bitmap at bucketed-path rack counts, hash set beyond).
+    /// (dense bitmap up to [`DENSE_RACK_LIMIT`] racks, hash set beyond).
     marked: DensePairSet,
-    /// Pairs the last [`Rbma::serve_special`] removed from the matching —
-    /// the batched pass patches their slab entries.
-    removed_scratch: Vec<Pair>,
-    /// Pairs the last [`Rbma::serve_special`] newly eviction-marked
-    /// (lazy mode) — the persistent pass raises their slab mark hints.
-    marked_scratch: Vec<Pair>,
-    /// Reusable bitmap over chunk positions marking where special
-    /// requests fire (the precomputed schedule of the bucketed pass).
-    /// Atomic because one 64-position word can span several workers'
-    /// pairs in the sharded charge (`fetch_or` there — OR commutes, so
-    /// the final bitmap is width-independent; plain `get_mut` stores on
-    /// the sequential path).
-    special_bits: Vec<AtomicU64>,
-    /// Per-worker (routing, matched, any-special) partials of the
-    /// sharded Phase-A charge, folded in worker order afterwards.
-    shard_parts: Vec<(AtomicU64, AtomicU64, AtomicU64)>,
-    /// Requests served so far through the batched entry points — the
-    /// denominator of the specials-density dispatch estimate.
-    served_reqs: u64,
-    /// Special requests among them (the numerator).
-    served_specials: u64,
     /// Local event recorders, drained by `telemetry_flush` (only the
     /// rare slow paths pay a bump; ordinary requests record nothing).
     stats: RbmaStats,
 }
 
 /// R-BMA's telemetry recorders (ZSTs under `--cfg dcn_telemetry_off`).
-/// The wrap/phase fields are flush baselines for cumulative sources
-/// owned elsewhere (the slab and the marking caches count over their
-/// lifetime; each flush emits the delta since the previous one).
 #[derive(Default)]
 struct RbmaStats {
     /// Theorem-1 special requests executed (the Theorem-2 slow path).
     specials: Counter,
-    /// Specials served by the hint-clean fast path (matched, provably
-    /// unmarked ⇒ two mark-only cache hits, no fault/RNG machinery).
+    /// Specials served by the clean-hit fast path (matched and unmarked ⇒
+    /// two mark-only cache hits, no fault/RNG machinery).
     fast_specials: Counter,
-    /// Chunks whose Phase-A charging ran sharded across an `IntraPool`.
-    sharded_chunks: Counter,
-    /// Chunks `serve_batch` diverted to the unsorted fused loop because
-    /// the observed specials share crossed [`SPECIALS_DENSE_CUTOFF`].
-    unsorted_diverts: Counter,
-    /// hash → dense store migrations (bucketed-path entry).
-    dense_migrations: Counter,
-    /// dense → hash store migrations (per-request/unsorted entry).
-    hash_migrations: Counter,
-    /// Slab epoch wraps already reported by earlier flushes.
-    flushed_wraps: u64,
-    /// Marking-phase resets (summed over the per-rack caches) already
-    /// reported by earlier flushes.
+    /// Marking-phase resets (summed over the per-rack caches, which count
+    /// over their lifetime) already reported by earlier flushes.
     flushed_phases: u64,
 }
 
@@ -216,35 +122,12 @@ impl Rbma {
             alpha,
             mode,
             counters: DenseCounters::new(n),
-            pslab: PersistentPairSlab::default(),
-            dense: false,
             caches,
             matching: BMatching::new(n, b),
             matched_set: DensePairSet::new(n),
             marked: DensePairSet::new(n),
-            removed_scratch: Vec::new(),
-            marked_scratch: Vec::new(),
-            special_bits: Vec::new(),
-            shard_parts: Vec::new(),
             stats: RbmaStats::default(),
-            served_reqs: 0,
-            served_specials: 0,
         }
-    }
-
-    /// Whether the observed specials share is past the point where the
-    /// sorted slab pass stops paying off. At high density (small α)
-    /// nearly every request drops into Phase B anyway, so the counting
-    /// scan, CSR fill and closed-form charging are pure overhead and
-    /// the unsorted fused loop wins; the two paths are byte-identical
-    /// (asserted live in `scaling`), so `serve_batch` may pick either
-    /// per chunk. The estimate warms up over the first few chunks
-    /// before it is trusted.
-    #[inline]
-    fn specials_dense(&self) -> bool {
-        self.served_reqs >= SPECIALS_DISPATCH_WARMUP
-            && self.served_specials * SPECIALS_DENSE_CUTOFF.1
-                > self.served_reqs * SPECIALS_DENSE_CUTOFF.0
     }
 
     /// `k_e = ⌈α/ℓ_e⌉` — the special-request period of a pair.
@@ -283,67 +166,6 @@ impl Rbma {
         }
     }
 
-    /// Makes the dense slot store authoritative (entry migration of the
-    /// default bucketed path). Every hash entry is written through to
-    /// its persistent slot — counter verbatim, `matched`/`cost`
-    /// recomputed from the matching, since hash-mode serving does not
-    /// patch slots. The hash is a superset of the slots ever allocated
-    /// ([`Rbma::ensure_hash`] dumps them all back), so this refreshes
-    /// every stale slot. O(pairs), amortized free: a run serves through
-    /// one path only, so migrations fire at most once per run.
-    fn ensure_dense(&mut self, n: usize, dm: &DistanceMatrix) {
-        if self.dense {
-            return;
-        }
-        self.stats.dense_migrations.bump();
-        let counters = std::mem::take(&mut self.counters);
-        let mut pslab = std::mem::take(&mut self.pslab);
-        for (pair, c) in counters.iter() {
-            let matched = self.matched_set.contains(pair);
-            let slot = pslab.slot_for(pair, n, |_| RbmaPairState::default());
-            *pslab.state_mut(slot) = RbmaPairState {
-                matched,
-                cost: if matched { 1 } else { dm.ell(pair) as u32 },
-                count: c.count,
-                k: c.k,
-                next_o: 0,
-                maybe_marked: self.marked.contains(pair),
-            };
-        }
-        self.pslab = pslab;
-        self.counters = counters;
-        self.counters.clear();
-        self.dense = true;
-    }
-
-    /// Makes the hash store authoritative (entry migration of the
-    /// per-request, unsorted-batched and intra-sharded paths): every
-    /// slot's Theorem-1 counter is dumped back into the hash. The slots
-    /// themselves stay allocated — a later [`Rbma::ensure_dense`]
-    /// refreshes them in place.
-    fn ensure_hash(&mut self) {
-        if !self.dense {
-            return;
-        }
-        self.stats.hash_migrations.bump();
-        for i in 0..self.pslab.len() {
-            let pair = self.pslab.seen()[i];
-            let slot = self
-                .pslab
-                .slot_of(pair)
-                .expect("seen pairs keep their slot");
-            let s = *self.pslab.state(slot);
-            self.counters.insert(
-                pair,
-                SpecialCounter {
-                    count: s.count,
-                    k: s.k,
-                },
-            );
-        }
-        self.dense = false;
-    }
-
     /// Applies one endpoint's cache update for a special request; returns
     /// the matching removals it caused.
     fn touch_cache(&mut self, node: NodeId, partner: NodeId) -> u32 {
@@ -359,13 +181,12 @@ impl Rbma {
                     if self.matched_set.remove(gone) {
                         let present = self.matching.remove(gone);
                         debug_assert!(present, "matched_set out of sync at {gone}");
-                        self.removed_scratch.push(gone);
                         removed += 1;
                     }
                 }
                 RemovalMode::Lazy => {
-                    if self.matched_set.contains(gone) && self.marked.insert(gone) {
-                        self.marked_scratch.push(gone);
+                    if self.matched_set.contains(gone) {
+                        self.marked.insert(gone);
                     }
                 }
             }
@@ -387,34 +208,19 @@ impl Rbma {
             self.matching.remove(victim);
             self.matched_set.remove(victim);
             self.marked.remove(victim);
-            self.removed_scratch.push(victim);
             removed += 1;
         }
         removed
     }
 
     /// The Theorem-2 slow path of a special request: feed both endpoint
-    /// caches, restore the matching invariant. Returns `(added, removed)`;
-    /// the removed pairs themselves land in `removed_scratch`.
-    fn serve_special(&mut self, pair: Pair) -> (u32, u32) {
-        let matched = self.matched_set.contains(pair);
-        self.serve_special_known(pair, matched, true)
-    }
-
-    /// [`Rbma::serve_special`] with the pair's current matching membership
-    /// already known (the bucketed pass reads it from the chunk slab,
-    /// skipping the membership scan). `matched` must equal
-    /// `self.matching.contains(pair)` — the slab keeps it exact because
-    /// every mid-chunk removal patches the victim's entry and a pair's own
-    /// cache touches can never evict that same pair. `maybe_marked` may
-    /// only be `false` when the pair is provably absent from the lazy
-    /// `marked` set (the persistent slab's hint); pass `true` when
-    /// unknown.
-    fn serve_special_known(&mut self, pair: Pair, matched: bool, maybe_marked: bool) -> (u32, u32) {
+    /// caches, restore the matching invariant. `matched` is the pair's
+    /// current matching membership (the caller has just probed it).
+    /// Returns `(added, removed)`.
+    fn serve_special(&mut self, pair: Pair, matched: bool) -> (u32, u32) {
+        debug_assert_eq!(matched, self.matching.contains(pair));
         self.stats.specials.bump();
-        self.removed_scratch.clear();
-        self.marked_scratch.clear();
-        if matched && !(maybe_marked && self.marked.contains(pair)) {
+        if matched && !self.marked.contains(pair) {
             // Superset invariant: a matched, unmarked pair is cached at
             // both endpoints (strict mode evicts the edge with the page;
             // lazy mode marks it), so both touches are pure hits — mark
@@ -426,7 +232,6 @@ impl Rbma {
             debug_assert!(cu.probe(v as u64).0 && cv.probe(u as u64).0);
             cu.mark_cached_hit(v as u64);
             cv.mark_cached_hit(u as u64);
-            debug_assert!(self.matching.contains(pair));
             return (0, 0);
         }
         let (u, v) = pair.endpoints();
@@ -454,267 +259,11 @@ impl Rbma {
             added = 1;
             // An unmatched pair is never marked (marked ⊆ M), so the
             // matched branch's "alive again" unmark has nothing to do.
-        } else if maybe_marked {
+        } else {
             // A re-requested edge is alive again.
             self.marked.remove(pair);
         }
         (added, removed)
-    }
-
-    /// The persistent bucketed batch pass — the default `serve_batch`.
-    ///
-    /// Same three-phase structure as [`Rbma::serve_batch_bucketed`], but
-    /// the slab *is* the scheduler's pair state ([`PersistentPairSlab`];
-    /// authoritative while `dense`), so the per-chunk costs collapse:
-    ///
-    /// - **Phase A** is one counting scan (slot lookup, epoch-tagged
-    ///   multiplicity bump) plus the CSR build. The expensive per-pair
-    ///   initialization — `ℓ_e` read, `k_e` division — runs once per
-    ///   pair *ever*, not once per pair per chunk, and needs no
-    ///   matching probe at all (a first-ever-requested pair cannot be
-    ///   matched).
-    /// - **Phase B** is unchanged: precomputed special schedule,
-    ///   multiply-accumulate per distinct pair, corrections per flip.
-    ///   Eviction victims absent from the chunk still get their
-    ///   persistent entry patched (with a correction multiplier of 0).
-    /// - **Phase C** disappears: the pre-pass advances each active
-    ///   counter in closed form in place; there is nothing to write
-    ///   back.
-    ///
-    /// With a `pool` of width > 1, Phase A runs **sharded**: the
-    /// counting scan and CSR fill broadcast inside
-    /// [`PersistentPairSlab::begin_chunk_sharded`], and the charging
-    /// pre-pass broadcasts here — each worker charges the runs of the
-    /// pairs it owns (`pair_id % width`, disjoint slab slots) into
-    /// per-worker (routing, matched) partials that fold deterministically
-    /// in worker order. Only Phase B stays sequential, in original
-    /// request order, so the RNG byte stream is untouched and reports
-    /// remain byte-identical at every width.
-    fn serve_batch_persistent(
-        &mut self,
-        batch: &[Pair],
-        dm: &DistanceMatrix,
-        acc: &mut BatchOutcome,
-        pool: Option<&IntraPool>,
-    ) {
-        let n = self.dm.num_racks();
-        if n == 0 || n > DENSE_RACK_LIMIT {
-            return self.serve_batch_unsorted(batch, dm, acc);
-        }
-        self.ensure_dense(n, dm);
-        let width = pool.map_or(1, IntraPool::width);
-        let mut pslab = std::mem::take(&mut self.pslab);
-        {
-            let own_dm = &self.dm;
-            let alpha = self.alpha;
-            // First-ever occurrence: the pair was never requested,
-            // hence never matched, and its counter starts at 0 (its
-            // first special lands at occurrence k_e, reproducing
-            // bump_counter's "special iff k ≤ 1" insert branch).
-            let init = |pair: Pair| {
-                let ell = own_dm.ell(pair).max(1) as u64;
-                RbmaPairState {
-                    matched: false,
-                    cost: dm.ell(pair) as u32,
-                    count: 0,
-                    k: alpha.div_ceil(ell) as u32,
-                    next_o: 0,
-                    // Never requested ⇒ never matched ⇒ never marked.
-                    maybe_marked: false,
-                }
-            };
-            let ok = match pool {
-                Some(pool) if width > 1 => pslab.begin_chunk_sharded(batch, n, init, pool),
-                _ => pslab.begin_chunk(batch, n, init),
-            };
-            if !ok {
-                // n was gated above, so this is the u16 multiplicity
-                // gate: the chunk is longer than 65535 requests.
-                self.pslab = pslab;
-                return self.serve_batch_unsorted(batch, dm, acc);
-            }
-        }
-        let mut slab = pslab.take_slab();
-
-        // Schedule pre-pass: one multiply-accumulate per distinct pair
-        // plus its special positions, marked in the chunk bitmap; the
-        // Theorem-1 counter advances in closed form right here.
-        let mut matched_total = 0u64;
-        let mut routing = 0u64;
-        self.special_bits.clear();
-        self.special_bits
-            .resize_with(batch.len().div_ceil(64), || AtomicU64::new(0));
-        let mut any_special = false;
-        if let Some(pool) = pool.filter(|p| p.width() > 1) {
-            // Sharded charge: workers walk their own active slots.
-            self.stats.sharded_chunks.bump();
-            while self.shard_parts.len() < width {
-                self.shard_parts.push(Default::default());
-            }
-            {
-                let parts = &self.shard_parts;
-                let bits = &self.special_bits;
-                let slab_cells = ShardSlice::new(&mut slab[..]);
-                let pslab_ref = &pslab;
-                pool.broadcast(move |w| {
-                    let mut routing_w = 0u64;
-                    let mut matched_w = 0u64;
-                    let mut any_w = false;
-                    for &slot in pslab_ref.active_of(w) {
-                        let slot = slot as usize;
-                        let m = pslab_ref.count(slot);
-                        // SAFETY: `slot`'s pair is owned by worker `w`
-                        // alone, and the broadcast barrier orders this
-                        // write before the caller's next read.
-                        let s = unsafe { slab_cells.get_mut(slot) };
-                        matched_w += m as u64 * s.matched as u64;
-                        routing_w += m as u64 * s.cost as u64;
-                        let specials = (s.count + m) / s.k;
-                        if specials > 0 {
-                            any_w = true;
-                            let seg = pslab_ref.positions_of(slot);
-                            s.next_o = s.k - s.count;
-                            let mut o = s.next_o;
-                            while o <= m {
-                                let p = seg[(o - 1) as usize] as usize;
-                                bits[p / 64].fetch_or(1 << (p % 64), Ordering::Relaxed);
-                                o += s.k;
-                            }
-                        }
-                        s.count = s.count + m - specials * s.k;
-                    }
-                    let (r, mt, any) = &parts[w];
-                    r.store(routing_w, Ordering::Relaxed);
-                    mt.store(matched_w, Ordering::Relaxed);
-                    any.store(any_w as u64, Ordering::Relaxed);
-                });
-            }
-            // Fold the partials in worker order. Integer sums commute,
-            // so the totals equal the sequential pass's bit for bit.
-            for parts in self.shard_parts[..width].iter_mut() {
-                routing += *parts.0.get_mut();
-                matched_total += *parts.1.get_mut();
-                any_special |= *parts.2.get_mut() != 0;
-            }
-        } else {
-            for &slot in pslab.active() {
-                let m = pslab.count(slot as usize);
-                let s = &mut slab[slot as usize];
-                matched_total += m as u64 * s.matched as u64;
-                routing += m as u64 * s.cost as u64;
-                let specials = (s.count + m) / s.k;
-                if specials > 0 {
-                    any_special = true;
-                    let seg = pslab.positions_of(slot as usize);
-                    s.next_o = s.k - s.count;
-                    let mut o = s.next_o;
-                    while o <= m {
-                        let p = seg[(o - 1) as usize] as usize;
-                        *self.special_bits[p / 64].get_mut() |= 1 << (p % 64);
-                        o += s.k;
-                    }
-                }
-                s.count = s.count + m - specials * s.k;
-            }
-        }
-
-        // Specials, in original request order; everything they flip is
-        // charged back as remaining-occurrences × delta.
-        let mut routing_corr = 0i64;
-        let mut matched_corr = 0i64;
-        let mut specials_in_chunk = 0u64;
-        if any_special {
-            let mut bits = std::mem::take(&mut self.special_bits);
-            for (w, bits_word) in bits.iter_mut().enumerate() {
-                let mut word = *bits_word.get_mut();
-                while word != 0 {
-                    let p = w * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    specials_in_chunk += 1;
-                    let id = pslab.id_at(p);
-                    let was_matched = slab[id].matched;
-                    let maybe_marked = slab[id].maybe_marked;
-                    // Hint-clean fast path: a matched pair provably
-                    // absent from the lazy `marked` set sits in both
-                    // endpoint caches (in strict mode M *is* the cache
-                    // intersection; in lazy mode an M-edge outside the
-                    // intersection must be marked — the superset
-                    // invariant). Both accesses are hits: no fault, no
-                    // eviction draw, no matching change — just the
-                    // unmarked→marked move in each cache. Every
-                    // correction term is zero (`cost`/`matched` are
-                    // already 1/true), so the schedule just advances.
-                    if was_matched && !maybe_marked {
-                        self.stats.specials.bump();
-                        self.stats.fast_specials.bump();
-                        let (u, v) = batch[p].endpoints();
-                        debug_assert!(self.matching.contains(batch[p]));
-                        debug_assert!(!self.marked.contains(batch[p]));
-                        let (cu, cv) = two_caches(&mut self.caches, u, v);
-                        debug_assert!(cu.probe(v as u64).0 && cv.probe(u as u64).0);
-                        cu.mark_cached_hit(v as u64);
-                        cv.mark_cached_hit(u as u64);
-                        slab[id].next_o += slab[id].k;
-                        continue;
-                    }
-                    let (added, removed) =
-                        self.serve_special_known(batch[p], was_matched, maybe_marked);
-                    acc.added += added as u64;
-                    acc.removed += removed as u64;
-                    // Raise mark hints before the removal patches: a pair
-                    // both newly marked and pruned in this same special
-                    // must end unmarked (removal wins).
-                    if !self.marked_scratch.is_empty() {
-                        let scratch = std::mem::take(&mut self.marked_scratch);
-                        for &marked_pair in &scratch {
-                            if let Some(mid) = pslab.slot_of(marked_pair) {
-                                slab[mid].maybe_marked = true;
-                            }
-                        }
-                        self.marked_scratch = scratch;
-                    }
-                    if removed > 0 {
-                        let scratch = std::mem::take(&mut self.removed_scratch);
-                        for &victim in &scratch {
-                            // Victims always have a slot (only requested
-                            // pairs enter the matching); patch it even
-                            // when the victim is absent from this chunk
-                            // — the state persists.
-                            if let Some(vid) = pslab.slot_of(victim) {
-                                let rem = pslab.occurrences_after(vid, p as u32) as i64;
-                                let v = &mut slab[vid];
-                                let new_cost = dm.ell(victim) as u32;
-                                routing_corr += rem * (new_cost as i64 - v.cost as i64);
-                                matched_corr -= rem * v.matched as i64;
-                                v.matched = false;
-                                v.cost = new_cost;
-                                // Pruned victims leave the marked set.
-                                v.maybe_marked = false;
-                            }
-                        }
-                        self.removed_scratch = scratch;
-                    }
-                    let s = &mut slab[id];
-                    let rem = (pslab.count(id) - s.next_o) as i64;
-                    s.next_o += s.k;
-                    routing_corr += rem * (1 - s.cost as i64);
-                    matched_corr += rem * (1 - s.matched as i64);
-                    s.matched = true;
-                    s.cost = 1;
-                    // The special either unmarked the pair (matched
-                    // branch) or found it unmatched, hence unmarked.
-                    s.maybe_marked = false;
-                }
-            }
-            self.special_bits = bits;
-        }
-        acc.matched += (matched_total as i64 + matched_corr) as u64;
-        acc.routing_cost += (routing as i64 + routing_corr) as u64;
-        self.served_reqs += batch.len() as u64;
-        self.served_specials += specials_in_chunk;
-
-        pslab.restore_slab(slab);
-        self.pslab = pslab;
     }
 
     /// Number of edges currently marked for (lazy) removal.
@@ -734,14 +283,13 @@ impl Rbma {
     }
 }
 
-/// A pair set the specials slow path can probe in one bit test. At
-/// rack counts where the bucketed serve path runs dense
-/// ([`DENSE_RACK_LIMIT`]) it is a flat pair-id bitmap — L1-resident at
+/// A pair set the specials slow path can probe in one bit test. Up to
+/// [`DENSE_RACK_LIMIT`] racks it is a flat pair-id bitmap — L1-resident at
 /// paper scale — and only beyond that a hash set. Used for the
 /// lazy-removal `marked` set (hit on every eviction, every prune scan
 /// — up to `b` membership probes per freed slot — and every matched
 /// re-request) and as a mirror of the matching's edge set (so the
-/// per-eviction "is the victim edge matched?" test and the unbatched
+/// per-eviction "is the victim edge matched?" test and the per-request
 /// entry probe skip [`BMatching`]'s bounded adjacency scan). `len` is
 /// tracked so [`Rbma::marked_count`] stays O(1).
 struct DensePairSet {
@@ -825,24 +373,18 @@ impl DensePairSet {
     }
 }
 
-/// Theorem-1 counter store of the hash-side serve paths (per-request
-/// and unsorted-batched). At bucketed-path rack counts
-/// ([`DENSE_RACK_LIMIT`]) it is a flat pair-id-indexed array mirroring
-/// the persistent slab's dense addressing — `bump_counter` becomes one
-/// indexed load instead of a hash probe, which is most of the
-/// per-request budget on specials-heavy traces — with `k == 0` marking
-/// a never-seen slot (real periods are ≥ 1) and a `seen` list for
-/// O(pairs-seen) iteration and clearing. Beyond the limit it falls
-/// back to a hash map. The flat array (8 B × n², ≤ 8 MiB at the limit)
-/// allocates on first insert, so dense-path-only runs never pay for it.
+/// Theorem-1 counter store. Up to [`DENSE_RACK_LIMIT`] racks it is a flat
+/// pair-id-indexed array — `bump_counter` becomes one indexed load instead
+/// of a hash probe, which is most of the per-request budget on
+/// specials-heavy traces — with `k == 0` marking a never-seen slot (real
+/// periods are ≥ 1). Beyond the limit it falls back to a hash map. The
+/// flat array (8 B × n², ≤ 8 MiB at the limit) allocates on first insert.
 #[derive(Default)]
 struct DenseCounters {
     /// Rack count of the dense id space; 0 = hash representation.
     n: usize,
     /// Flat pair-id-indexed slots (`k == 0` ⇒ never seen).
     slots: Vec<SpecialCounter>,
-    /// Pairs with a live slot, for iteration and clearing.
-    seen: Vec<Pair>,
     /// Fallback representation above [`DENSE_RACK_LIMIT`].
     hash: FxHashMap<Pair, SpecialCounter>,
 }
@@ -885,28 +427,10 @@ impl DenseCounters {
                 self.slots = vec![SpecialCounter { count: 0, k: 0 }; self.n * self.n];
             }
             let id = self.id(pair);
-            if self.slots[id].k == 0 {
-                self.seen.push(pair);
-            }
             self.slots[id] = c;
         } else {
             self.hash.insert(pair, c);
         }
-    }
-
-    fn iter(&self) -> impl Iterator<Item = (Pair, SpecialCounter)> + '_ {
-        let dense = self.seen.iter().map(move |&p| (p, self.slots[self.id(p)]));
-        let hash = self.hash.iter().map(|(&p, &c)| (p, c));
-        dense.chain(hash)
-    }
-
-    fn clear(&mut self) {
-        let n = self.n;
-        for &p in &self.seen {
-            self.slots[p.lo() as usize * n + p.hi() as usize].k = 0;
-        }
-        self.seen.clear();
-        self.hash.clear();
     }
 }
 
@@ -937,7 +461,6 @@ impl OnlineScheduler for Rbma {
     }
 
     fn serve(&mut self, pair: Pair) -> ServeOutcome {
-        self.ensure_hash();
         let was_matched = self.matched_set.contains(pair);
         if !self.bump_counter(pair) {
             return ServeOutcome {
@@ -946,7 +469,7 @@ impl OnlineScheduler for Rbma {
                 removed: 0,
             };
         }
-        let (added, removed) = self.serve_special(pair);
+        let (added, removed) = self.serve_special(pair, was_matched);
         ServeOutcome {
             was_matched,
             added,
@@ -954,68 +477,26 @@ impl OnlineScheduler for Rbma {
         }
     }
 
-    /// Unsorted batched serve (the PR 5 fused loop): the ordinary-request
-    /// fast path — one flat membership probe, one counter bump, fused
-    /// routing accounting — runs without per-request dispatch, distance
-    /// lookups (only misses pay one `ℓ_e` read) or stopwatch traffic; only
-    /// special requests drop into the paging slow path.
-    fn serve_batch_unsorted(
-        &mut self,
-        batch: &[Pair],
-        dm: &DistanceMatrix,
-        acc: &mut BatchOutcome,
-    ) {
-        self.ensure_hash();
+    /// The fused batch loop: the ordinary-request fast path — one flat
+    /// membership probe, one counter bump, fused routing accounting — runs
+    /// without per-request dispatch, distance lookups (only misses pay one
+    /// `ℓ_e` read) or stopwatch traffic; only special requests drop into
+    /// the paging slow path.
+    fn serve_batch(&mut self, batch: &[Pair], dm: &DistanceMatrix, acc: &mut BatchOutcome) {
         let mut matched = 0u64;
         let mut routing = 0u64;
-        let mut specials = 0u64;
         for &pair in batch {
             let was_matched = self.matched_set.contains(pair);
             matched += was_matched as u64;
             routing += if was_matched { 1 } else { dm.ell(pair) as u64 };
             if self.bump_counter(pair) {
-                specials += 1;
-                let (added, removed) = self.serve_special(pair);
+                let (added, removed) = self.serve_special(pair, was_matched);
                 acc.added += added as u64;
                 acc.removed += removed as u64;
             }
         }
         acc.matched += matched;
         acc.routing_cost += routing;
-        self.served_reqs += batch.len() as u64;
-        self.served_specials += specials;
-    }
-
-    /// Bucketed batched serve over the persistent pair slab: the
-    /// per-pair reads amortize to once per pair *ever* (see
-    /// `Rbma::serve_batch_persistent`); byte-identical to the
-    /// unsorted path.
-    fn serve_batch(&mut self, batch: &[Pair], dm: &DistanceMatrix, acc: &mut BatchOutcome) {
-        // Density dispatch: above the measured crossover share the
-        // sorted slab pass amortizes less than its scan costs — divert
-        // to the unsorted fused loop, which is byte-identical (the
-        // four-path equality contract asserted live in `scaling`), so
-        // the pick is purely a matter of speed.
-        if self.specials_dense() {
-            self.stats.unsorted_diverts.bump();
-            self.serve_batch_unsorted(batch, dm, acc);
-        } else {
-            self.serve_batch_persistent(batch, dm, acc, None);
-        }
-    }
-
-    /// The persistent pass with the counting scan, CSR fill **and**
-    /// Phase-A charging sharded by rack-pair ownership across `pool`;
-    /// only the specials schedule stays sequential. Byte-identical at
-    /// any width.
-    fn serve_batch_sharded(
-        &mut self,
-        batch: &[Pair],
-        dm: &DistanceMatrix,
-        pool: &IntraPool,
-        acc: &mut BatchOutcome,
-    ) {
-        self.serve_batch_persistent(batch, dm, acc, Some(pool));
     }
 
     fn matching(&self) -> &BMatching {
@@ -1025,14 +506,8 @@ impl OnlineScheduler for Rbma {
     fn telemetry_flush(&mut self, sink: &Telemetry) {
         sink.add_counter("rbma.specials", self.stats.specials.take());
         sink.add_counter("rbma.fast_specials", self.stats.fast_specials.take());
-        sink.add_counter("rbma.sharded_chunks", self.stats.sharded_chunks.take());
-        sink.add_counter("rbma.unsorted_diverts", self.stats.unsorted_diverts.take());
-        sink.add_counter("rbma.dense_migrations", self.stats.dense_migrations.take());
-        sink.add_counter("rbma.hash_migrations", self.stats.hash_migrations.take());
-        // Cumulative sources: emit deltas against the last flush.
-        let wraps = self.pslab.epoch_wraps();
-        sink.add_counter("rbma.slab_epoch_wraps", wraps - self.stats.flushed_wraps);
-        self.stats.flushed_wraps = wraps;
+        // The marking caches count phases over their lifetime: emit the
+        // delta against the last flush.
         let phases: u64 = self.caches.iter().map(|c| c.phase_transitions()).sum();
         sink.add_counter("rbma.marking_phases", phases - self.stats.flushed_phases);
         self.stats.flushed_phases = phases;
@@ -1226,23 +701,6 @@ mod tests {
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b, "mode {mode:?}: matchings diverged");
-
-            // The explicit unsorted pass and the intra-sharded bucketed
-            // pass must agree with the same accounting too.
-            let mut unsorted = Rbma::new(dm.clone(), 3, 8, mode, 5);
-            let mut acc_u = BatchOutcome::default();
-            for chunk in reqs.chunks(97) {
-                unsorted.serve_batch_unsorted(chunk, &dm, &mut acc_u);
-            }
-            assert_eq!(acc_u, expected, "mode {mode:?}: unsorted path");
-
-            let pool = IntraPool::new(3);
-            let mut sharded = Rbma::new(dm.clone(), 3, 8, mode, 5);
-            let mut acc_s = BatchOutcome::default();
-            for chunk in reqs.chunks(97) {
-                sharded.serve_batch_sharded(chunk, &dm, &pool, &mut acc_s);
-            }
-            assert_eq!(acc_s, expected, "mode {mode:?}: sharded path");
         }
     }
 }

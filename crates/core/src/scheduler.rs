@@ -7,23 +7,11 @@
 //! [`serve_batch`](OnlineScheduler::serve_batch) call per chunk, which
 //! accumulates the chunk's cost components into a [`BatchOutcome`].
 //!
-//! There are three batch entry points, all required to produce identical
-//! accounting:
-//!
-//! * [`serve_batch_unsorted`](OnlineScheduler::serve_batch_unsorted) — the
-//!   straight per-request pass. The default loops
-//!   [`serve`](OnlineScheduler::serve) (statically dispatched inside the
-//!   implementor, so even the default removes the per-request virtual
-//!   call); the hot algorithms override it with a fused loop.
-//! * [`serve_batch`](OnlineScheduler::serve_batch) — the preferred path.
-//!   Schedulers with pair-bucketed overrides (R-BMA, BMA, Oblivious,
-//!   Rotor) preprocess the chunk through [`crate::batch::PairBuckets`] and
-//!   amortize per-pair reads over runs of identical pairs; everyone else
-//!   inherits the default, which simply delegates to the unsorted pass.
-//! * [`serve_batch_sharded`](OnlineScheduler::serve_batch_sharded) — same
-//!   as `serve_batch` but shards the bucketing scan across an
-//!   [`IntraPool`](crate::parallel::IntraPool); the default ignores the
-//!   pool and delegates to `serve_batch`.
+//! There is one batch entry point per scheduler. The default loops
+//! [`serve`](OnlineScheduler::serve) (statically dispatched inside the
+//! implementor, so even the default removes the per-request virtual call);
+//! the hot algorithms (R-BMA, BMA, Oblivious, Rotor) override it with a
+//! fused per-request loop that keeps the running totals in registers.
 //!
 //! Accounting is part of the contract: however a scheduler batches, the
 //! accumulated [`BatchOutcome`] must equal what per-request serving plus
@@ -97,50 +85,20 @@ pub trait OnlineScheduler {
     /// Serves one request and applies any reconfigurations.
     fn serve(&mut self, pair: Pair) -> ServeOutcome;
 
-    /// Serves a batch one request at a time, with no preprocessing.
+    /// Serves a batch of requests in order, accumulating cost components
+    /// into `acc`.
     ///
     /// Must be behaviorally identical to serving the batch one request at a
     /// time through [`serve`](Self::serve) and folding each outcome with
-    /// [`BatchOutcome::record`] — the default does exactly that. `dm` is
-    /// the distance matrix the *simulator* accounts routing cost with
-    /// (schedulers keep using their own for decisions).
-    fn serve_batch_unsorted(
-        &mut self,
-        batch: &[Pair],
-        dm: &DistanceMatrix,
-        acc: &mut BatchOutcome,
-    ) {
+    /// [`BatchOutcome::record`] — the default does exactly that, and
+    /// batched and per-request runs are pinned to identical reports by
+    /// tests. `dm` is the distance matrix the *simulator* accounts routing
+    /// cost with (schedulers keep using their own for decisions).
+    fn serve_batch(&mut self, batch: &[Pair], dm: &DistanceMatrix, acc: &mut BatchOutcome) {
         for &pair in batch {
             let outcome = self.serve(pair);
             acc.record(pair, outcome, dm);
         }
-    }
-
-    /// Serves a batch of requests, accumulating cost components into `acc`.
-    ///
-    /// The preferred entry point: implementors may preprocess the chunk
-    /// (e.g. bucket it by rack pair, [`crate::batch::PairBuckets`]) — or
-    /// pick a different internal pass per chunk, as R-BMA's specials-share
-    /// density dispatch does — as long as the accumulated outcome stays
-    /// identical to
-    /// [`serve_batch_unsorted`](Self::serve_batch_unsorted) — byte-identical
-    /// reports across the two paths are pinned by simulator tests.
-    fn serve_batch(&mut self, batch: &[Pair], dm: &DistanceMatrix, acc: &mut BatchOutcome) {
-        self.serve_batch_unsorted(batch, dm, acc);
-    }
-
-    /// Like [`serve_batch`](Self::serve_batch), but may shard its
-    /// preprocessing scan across `pool`'s workers. All state mutation must
-    /// stay on the calling thread in request order, so the outcome is
-    /// byte-identical at any pool width. The default ignores the pool.
-    fn serve_batch_sharded(
-        &mut self,
-        batch: &[Pair],
-        dm: &DistanceMatrix,
-        _pool: &crate::parallel::IntraPool,
-        acc: &mut BatchOutcome,
-    ) {
-        self.serve_batch(batch, dm, acc);
     }
 
     /// Read access to the current matching (for verification and analysis).

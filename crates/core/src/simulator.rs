@@ -6,9 +6,8 @@
 //! reconfigurations cost α each. Wall-clock time covers only the serve
 //! loop — snapshotting is excluded, and runs are single-threaded by
 //! default, matching "each simulation is run sequentially" in §3.1.
-//! [`SimConfig::intra_threads`] can shard each chunk's *preprocessing scan*
-//! across an [`IntraPool`] (state mutation stays sequential), which changes
-//! wall-clock only — every reported number is identical at any width.
+//! Parallelism lives one level up, across independent runs
+//! ([`crate::sweep`]).
 //!
 //! The serve loop is **batched**: requests are pulled through the
 //! [`RequestStream`] abstraction in chunks of up to
@@ -27,7 +26,6 @@
 //! constant memory.
 
 use crate::cancel::CancelToken;
-use crate::parallel::{resolve_intra, IntraPool};
 use crate::report::{Checkpoint, RunReport};
 use crate::scheduler::{BatchOutcome, OnlineScheduler};
 use dcn_telemetry::{Histogram, Telemetry};
@@ -54,21 +52,6 @@ pub fn total_served() -> u64 {
 /// packed pairs).
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
-/// Which batch entry point the serve loop drives (reports are identical
-/// either way — this tunes the constant, never the result).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ServeMode {
-    /// [`OnlineScheduler::serve_batch`] — the scheduler's preferred batched
-    /// path: pair-bucketed where the scheduler has one (R-BMA dispatches
-    /// per chunk between its persistent slab and its fused loop from the
-    /// observed specials share), the unsorted pass otherwise.
-    #[default]
-    Sorted,
-    /// [`OnlineScheduler::serve_batch_unsorted`] — the straight fused
-    /// per-request pass (kept addressable for equality gates and benches).
-    Unsorted,
-}
-
 /// Simulation options.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -86,16 +69,6 @@ pub struct SimConfig {
     /// (`0` is treated as `1`, i.e. per-request serving). Any value
     /// produces the identical report; this only tunes the constant.
     pub batch_size: usize,
-    /// Which batch entry point to drive (identical reports either way).
-    pub serve_mode: ServeMode,
-    /// Intra-run workers sharding each chunk's preprocessing scan by
-    /// rack-pair ownership (`1` = off, `0` = one per available core).
-    /// Any width produces the identical report. Widths above 1 force the
-    /// sorted path ([`OnlineScheduler::serve_batch_sharded`]). The width
-    /// is **per simulation** and composes with sweep-level fan-out
-    /// ([`crate::sweep::run_jobs`]'s worker count): S sweep workers at
-    /// width W can occupy S × W cores.
-    pub intra_threads: usize,
     /// Sink for run telemetry (serve-latency histogram, scheduler event
     /// counters, executor stats). The default picks up the process-global
     /// handle ([`dcn_telemetry::global`]), so sweeps and ablations built on
@@ -120,8 +93,6 @@ impl Default for SimConfig {
             seed: 0,
             trace_name: String::new(),
             batch_size: DEFAULT_BATCH_SIZE,
-            serve_mode: ServeMode::default(),
-            intra_threads: 1,
             telemetry: dcn_telemetry::global(),
             cancel: CancelToken::none(),
         }
@@ -132,19 +103,6 @@ impl SimConfig {
     /// A copy serving `batch_size` requests per scheduler call.
     pub fn with_batch_size(mut self, batch_size: usize) -> Self {
         self.batch_size = batch_size;
-        self
-    }
-
-    /// A copy driving the given batch entry point.
-    pub fn with_serve_mode(mut self, serve_mode: ServeMode) -> Self {
-        self.serve_mode = serve_mode;
-        self
-    }
-
-    /// A copy sharding each chunk's preprocessing scan across
-    /// `intra_threads` workers (`0` = one per available core).
-    pub fn with_intra_threads(mut self, intra_threads: usize) -> Self {
-        self.intra_threads = intra_threads;
         self
     }
 
@@ -306,16 +264,6 @@ pub fn run<S: OnlineScheduler + ?Sized, R: RequestStream>(
     // the serve loop pays one branch per chunk and nothing else.
     let telem_on = config.telemetry.is_enabled();
     let mut chunk_ns = Histogram::default();
-    // The pool outlives the serve loop: workers spawn once per run, and
-    // serve_batch_sharded broadcasts one scan per chunk.
-    let intra = resolve_intra(config.intra_threads);
-    let pool = (intra > 1).then(|| {
-        if telem_on {
-            IntraPool::instrumented(intra)
-        } else {
-            IntraPool::new(intra)
-        }
-    });
     let mut state = Checkpoint::default();
     let mut checkpoints = Vec::with_capacity(cps.len());
     let mut next_cp = 0usize;
@@ -351,11 +299,7 @@ pub fn run<S: OnlineScheduler + ?Sized, R: RequestStream>(
         // `elapsed_secs` is identical with telemetry on or off.
         let chunk_t0 = telem_on.then(Instant::now);
         sw.start();
-        match (&pool, config.serve_mode) {
-            (Some(pool), _) => scheduler.serve_batch_sharded(chunk, dm, pool, &mut acc),
-            (None, ServeMode::Sorted) => scheduler.serve_batch(chunk, dm, &mut acc),
-            (None, ServeMode::Unsorted) => scheduler.serve_batch_unsorted(chunk, dm, &mut acc),
-        }
+        scheduler.serve_batch(chunk, dm, &mut acc);
         sw.pause();
         if let Some(t0) = chunk_t0 {
             chunk_ns.record(t0.elapsed().as_nanos() as u64);
@@ -388,9 +332,6 @@ pub fn run<S: OnlineScheduler + ?Sized, R: RequestStream>(
         sink.add_counter("serve.reconfigurations", state.reconfigurations);
         sink.merge_histogram("serve.chunk_ns", &chunk_ns);
         scheduler.telemetry_flush(sink);
-        if let Some(pool) = &pool {
-            pool.telemetry_flush(sink);
-        }
     }
 
     RunReport {
@@ -568,9 +509,8 @@ mod tests {
     fn batched_run_equals_unbatched_run_for_every_scheduler() {
         // The hard batching contract: any batch size produces the identical
         // report — total cost, reconfiguration count, every checkpoint — on
-        // every scheduler with a serve_batch override plus one that uses
-        // the default loop (Bma goes through its override; Oblivious,
-        // R-BMA and Rotor through theirs).
+        // every scheduler with a fused serve_batch override (R-BMA, BMA,
+        // Oblivious, Rotor).
         use crate::algorithms::bma::Bma;
         use crate::algorithms::rotor::Rotor;
         let net = builders::fat_tree_with_racks(16);
@@ -619,32 +559,6 @@ mod tests {
                     &unbatched,
                     &format!("{name} streamed b={batch_size}"),
                 );
-                // Explicit unsorted mode and intra-sharded runs: same
-                // report again, at every pool width.
-                let mut s = make();
-                let uns = run(
-                    s.as_mut(),
-                    &dm,
-                    10,
-                    &trace.requests,
-                    &config.clone().with_serve_mode(ServeMode::Unsorted),
-                );
-                assert_reports_identical(&uns, &unbatched, &format!("{name} unsorted"));
-                for intra in [2usize, 3] {
-                    let mut s = make();
-                    let sharded = run(
-                        s.as_mut(),
-                        &dm,
-                        10,
-                        &trace.requests,
-                        &config.clone().with_intra_threads(intra),
-                    );
-                    assert_reports_identical(
-                        &sharded,
-                        &unbatched,
-                        &format!("{name} b={batch_size} intra={intra}"),
-                    );
-                }
             }
         }
     }

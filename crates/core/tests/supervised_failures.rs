@@ -207,17 +207,11 @@ fn delay_failpoint_slows_but_does_not_change_results() {
     let clean: Vec<String> = run_jobs(&dm, &js, 1).iter().map(canonical).collect();
 
     failpoint::arm(
-        "intra.broadcast",
-        failpoint::Action::Delay(Duration::from_millis(1)),
-        failpoint::Trigger::Percent(50),
-    );
-    failpoint::arm(
         "sim.chunk",
         failpoint::Action::Delay(Duration::from_millis(1)),
         failpoint::Trigger::Percent(25),
     );
     let outcomes = run_jobs_supervised(&dm, &js, 2, &fast_supervisor("delay"));
-    failpoint::disarm("intra.broadcast");
     failpoint::disarm("sim.chunk");
 
     for (i, (o, want)) in outcomes.iter().zip(&clean).enumerate() {

@@ -18,9 +18,7 @@
 //!   b-matching onto concrete optical switches.
 //! * [`recency`] — per-endpoint LRU recency over a [`BMatching`]:
 //!   [`recency::LruBMatching`], a flat intrusive LRU threaded through the
-//!   matching's fixed-stride adjacency (O(1) touch/evict, BMA's hot path),
-//!   plus the stamp/B-tree reference oracle it is equivalence-tested
-//!   against.
+//!   matching's fixed-stride adjacency (O(1) touch/evict, BMA's hot path).
 //! * [`brute`] — exponential-time exact optima for small instances, used as
 //!   ground truth by tests.
 
@@ -36,7 +34,7 @@ pub use blossom::max_weight_matching;
 pub use bmatching::BMatching;
 pub use coloring::edge_coloring;
 pub use greedy::{greedy_b_matching, greedy_matching};
-pub use recency::{BTreeRecencyMatching, LruBMatching, RecencyMatching};
+pub use recency::LruBMatching;
 pub use repeated::repeated_mwm_b_matching;
 
 /// A weighted candidate edge between racks `u` and `v` (`u != v`).

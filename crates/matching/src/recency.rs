@@ -2,31 +2,21 @@
 //! deterministic LRU eviction (BMA's rent-or-buy baseline evicts the
 //! least-recently-used incident edge at a full endpoint).
 //!
-//! Two implementations with one contract ([`RecencyMatching`]):
+//! [`LruBMatching`] is a **flat intrusive LRU**: a slab of list nodes with
+//! `prev`/`next` slot indices is threaded per-endpoint through the *same
+//! fixed-stride adjacency layout* [`BMatching`] already owns (edge at
+//! position `i` of rack `v`'s block occupies slot `v·b + i`), so finding an
+//! edge's list node is the same bounded block scan that membership already
+//! pays — no hashing, no allocation, no tree. A hit is two O(1) list
+//! splices; the eviction victim is a head read.
 //!
-//! * [`LruBMatching`] — the production structure: a **flat intrusive LRU**.
-//!   A slab of list nodes with `prev`/`next` slot indices is threaded
-//!   per-endpoint through the *same fixed-stride adjacency layout*
-//!   [`BMatching`] already owns (edge at position `i` of rack `v`'s block
-//!   occupies slot `v·b + i`), so finding an edge's list node is the same
-//!   bounded block scan that membership already pays — no hashing, no
-//!   allocation, no tree. A hit is two O(1) list splices; the eviction
-//!   victim is a head read.
-//! * [`BTreeRecencyMatching`] — the historical structure (one
-//!   `BTreeMap<stamp, Pair>` per rack plus a `stamp → pair` map), kept as
-//!   the **reference oracle**: the equivalence proptests replay both side
-//!   by side and require identical victims, and `micro_batch`'s
-//!   `bma/recency_upkeep` point measures the flattening win against it.
-//!
-//! Victim equivalence argument: the B-tree orders a rack's incident edges
-//! by their last-touch stamp, drawn from a strictly increasing global
-//! clock; the intrusive list orders them by last-touch *sequence* (touch
-//! moves a node to the MRU tail, insertion enters at the MRU tail). Both
-//! orders are the order of last touches, so the minimum-stamp edge and the
-//! LRU head coincide — decision for decision. The list needs no stamps at
-//! all, which also removes the B-tree's (theoretical) clock-wraparound
-//! hazard: [`BTreeRecency`] aborts if its `u64` stamp clock would overflow,
-//! while [`LruBMatching`] has no clock to overflow.
+//! The intrusive list orders a rack's incident edges by last-touch
+//! *sequence* (touch moves a node to the MRU tail, insertion enters at the
+//! MRU tail), so the LRU head is the edge whose last touch is oldest. The
+//! list needs no stamps, hence has no clock to overflow. The equivalence
+//! proptests (`tests/lru_equivalence.rs`) replay it against a test-local
+//! reference that orders edges by last-touch stamps in per-rack
+//! `BTreeMap`s, and require identical victims at every step.
 //!
 //! Adoption survey (rest of the workspace): `periodic.rs` keeps a demand
 //! *count* window (no recency ordering) and `predictive.rs` evicts by
@@ -37,50 +27,9 @@
 
 use crate::BMatching;
 use dcn_topology::{NodeId, Pair};
-use dcn_util::FxHashMap;
-use std::collections::BTreeMap;
 
 /// Sentinel for "no slot" in the intrusive lists.
 const NIL: u32 = u32::MAX;
-
-/// A degree-capped matching with per-endpoint LRU recency over its incident
-/// edges. The one contract BMA needs: membership-with-touch, MRU insertion,
-/// removal, and the per-endpoint LRU victim.
-///
-/// `Sync` is a supertrait because BMA's bucketed serve pass shares the
-/// index immutably with its (possibly sharded) chunk-preprocessing scan;
-/// both implementations here are plain owned data and qualify. Mutation
-/// stays single-threaded — and the bucketed pass *defers* hit touches,
-/// splicing each pair once per flush interval at its last-occurrence
-/// position instead of once per hit, which is observation-equivalent
-/// because recency is only read at buy/eviction points (immediately after
-/// a flush) and only the per-endpoint last-touch *order* decides victims.
-pub trait RecencyMatching: Sync {
-    /// Empty structure over `n` racks with degree cap `b`.
-    fn new(n: usize, b: usize) -> Self;
-
-    /// The underlying matching.
-    fn matching(&self) -> &BMatching;
-
-    /// If `pair` is a matching edge, refresh its recency at both endpoints
-    /// and return `true`; otherwise return `false` and change nothing.
-    fn touch_hit(&mut self, pair: Pair) -> bool;
-
-    /// Inserts `pair` as the most-recently-used edge at both endpoints.
-    /// Panics if present or over the cap (callers make room first).
-    fn insert_mru(&mut self, pair: Pair);
-
-    /// Removes `pair` and its recency state; returns whether it was present.
-    fn remove(&mut self, pair: Pair) -> bool;
-
-    /// The least-recently-used matching edge incident to `v`, if any — the
-    /// deterministic eviction victim.
-    fn lru_edge(&self, v: NodeId) -> Option<Pair>;
-
-    /// `v`'s incident edges in recency order (LRU first). O(degree); for
-    /// tests and diagnostics, not the hot path.
-    fn recency_order(&self, v: NodeId) -> Vec<Pair>;
-}
 
 /// Flat intrusive LRU over [`BMatching`]'s fixed-stride adjacency.
 ///
@@ -91,7 +40,7 @@ pub trait RecencyMatching: Sync {
 /// the moved edge's list node, so slots always track block positions.
 ///
 /// ```
-/// use dcn_matching::recency::{LruBMatching, RecencyMatching};
+/// use dcn_matching::recency::LruBMatching;
 /// use dcn_topology::Pair;
 ///
 /// let mut m = LruBMatching::new(4, 2);
@@ -195,13 +144,11 @@ impl LruBMatching {
             assert_eq!(self.tail[v as usize], prev, "tail out of sync at {v}");
         }
     }
-}
 
-impl RecencyMatching for LruBMatching {
-    fn new(n: usize, b: usize) -> Self {
+    /// Empty structure over `n` racks with degree cap `b`.
+    pub fn new(n: usize, b: usize) -> Self {
         // Slot ids (and the NIL sentinel) live in u32: guard the capacity
-        // the same way the BTree reference guards its stamp clock, instead
-        // of silently aliasing list nodes past 2^32 slots.
+        // instead of silently aliasing list nodes past 2^32 slots.
         assert!(
             (n as u128) * (b as u128) < NIL as u128,
             "n*b = {n}*{b} exceeds the u32 slot space of the intrusive LRU"
@@ -215,13 +162,16 @@ impl RecencyMatching for LruBMatching {
         }
     }
 
+    /// The underlying matching.
     #[inline]
-    fn matching(&self) -> &BMatching {
+    pub fn matching(&self) -> &BMatching {
         &self.matching
     }
 
+    /// If `pair` is a matching edge, refresh its recency at both endpoints
+    /// and return `true`; otherwise return `false` and change nothing.
     #[inline]
-    fn touch_hit(&mut self, pair: Pair) -> bool {
+    pub fn touch_hit(&mut self, pair: Pair) -> bool {
         let (u, w) = pair.endpoints();
         // The membership scan *is* the list-node lookup: position in the
         // block addresses the intrusive slot directly.
@@ -242,7 +192,9 @@ impl RecencyMatching for LruBMatching {
         true
     }
 
-    fn insert_mru(&mut self, pair: Pair) {
+    /// Inserts `pair` as the most-recently-used edge at both endpoints.
+    /// Panics if present or over the cap (callers make room first).
+    pub fn insert_mru(&mut self, pair: Pair) {
         let (u, w) = pair.endpoints();
         // BMatching appends at the degree index; record both before insert.
         let (pu, pw) = (self.matching.degree(u), self.matching.degree(w));
@@ -252,7 +204,8 @@ impl RecencyMatching for LruBMatching {
         self.push_mru(w, sw);
     }
 
-    fn remove(&mut self, pair: Pair) -> bool {
+    /// Removes `pair` and its recency state; returns whether it was present.
+    pub fn remove(&mut self, pair: Pair) -> bool {
         let (u, w) = pair.endpoints();
         let Some(pu) = self.matching.position(u, pair) else {
             return false;
@@ -275,8 +228,10 @@ impl RecencyMatching for LruBMatching {
         true
     }
 
+    /// The least-recently-used matching edge incident to `v`, if any — the
+    /// deterministic eviction victim.
     #[inline]
-    fn lru_edge(&self, v: NodeId) -> Option<Pair> {
+    pub fn lru_edge(&self, v: NodeId) -> Option<Pair> {
         let slot = self.head[v as usize];
         (slot != NIL).then(|| {
             let pos = slot as usize - v as usize * self.matching.cap();
@@ -284,7 +239,9 @@ impl RecencyMatching for LruBMatching {
         })
     }
 
-    fn recency_order(&self, v: NodeId) -> Vec<Pair> {
+    /// `v`'s incident edges in recency order (LRU first). O(degree); for
+    /// tests and diagnostics, not the hot path.
+    pub fn recency_order(&self, v: NodeId) -> Vec<Pair> {
         let base = v as usize * self.matching.cap();
         let mut out = Vec::with_capacity(self.matching.degree(v));
         let mut slot = self.head[v as usize];
@@ -293,138 +250,6 @@ impl RecencyMatching for LruBMatching {
             slot = self.next[slot as usize];
         }
         out
-    }
-}
-
-/// The historical recency index: one stamp-ordered `BTreeMap` per rack.
-///
-/// Kept as the reference oracle for [`LruBMatching`] (equivalence proptests
-/// and the `bma/recency_upkeep` before/after bench point) — see the module
-/// docs for the victim-equivalence argument.
-#[derive(Clone, Debug, Default)]
-pub struct BTreeRecency {
-    /// Last-use stamp of each matching edge (`FxHashMap`, exactly as the
-    /// pre-flattening BMA kept it — the oracle must not be handicapped,
-    /// or the published flat-vs-btree speedups would overstate the win).
-    stamp_of: FxHashMap<Pair, u64>,
-    /// Per-rack recency index; the first entry is the LRU victim.
-    recency: Vec<BTreeMap<u64, Pair>>,
-    clock: u64,
-}
-
-impl BTreeRecency {
-    /// Empty index over `n` racks.
-    pub fn new(n: usize) -> Self {
-        Self::with_start_clock(n, 0)
-    }
-
-    /// Empty index whose stamp clock starts at `clock` — lets tests probe
-    /// behaviour at very large stamps, where the stamp-based design would
-    /// wrap (and corrupt its ordering) while the intrusive list, having no
-    /// stamps, cannot.
-    pub fn with_start_clock(n: usize, clock: u64) -> Self {
-        Self {
-            stamp_of: FxHashMap::default(),
-            recency: vec![BTreeMap::new(); n],
-            clock,
-        }
-    }
-
-    /// Refreshes the recency of `pair` at both endpoints (the caller
-    /// guarantees `pair` is, or is becoming, a matching edge).
-    pub fn touch(&mut self, pair: Pair) {
-        self.clock = self
-            .clock
-            .checked_add(1)
-            .expect("BTreeRecency stamp clock overflow: stamps would wrap and reorder");
-        if let Some(old) = self.stamp_of.insert(pair, self.clock) {
-            self.recency[pair.lo() as usize].remove(&old);
-            self.recency[pair.hi() as usize].remove(&old);
-        }
-        self.recency[pair.lo() as usize].insert(self.clock, pair);
-        self.recency[pair.hi() as usize].insert(self.clock, pair);
-    }
-
-    /// Drops `pair`'s recency state; returns whether it was tracked.
-    pub fn remove(&mut self, pair: Pair) -> bool {
-        match self.stamp_of.remove(&pair) {
-            None => false,
-            Some(stamp) => {
-                self.recency[pair.lo() as usize].remove(&stamp);
-                self.recency[pair.hi() as usize].remove(&stamp);
-                true
-            }
-        }
-    }
-
-    /// The minimum-stamp (least recently used) edge at `v`.
-    pub fn lru_edge(&self, v: NodeId) -> Option<Pair> {
-        self.recency[v as usize].values().next().copied()
-    }
-
-    /// `v`'s tracked edges in stamp order (LRU first).
-    pub fn order(&self, v: NodeId) -> Vec<Pair> {
-        self.recency[v as usize].values().copied().collect()
-    }
-}
-
-/// [`BTreeRecency`] paired with the matching it indexes — the reference
-/// implementation of [`RecencyMatching`], structured exactly like the
-/// pre-flattening BMA fields.
-#[derive(Clone, Debug)]
-pub struct BTreeRecencyMatching {
-    matching: BMatching,
-    recency: BTreeRecency,
-}
-
-impl BTreeRecencyMatching {
-    /// Reference structure whose stamp clock starts at `clock` (see
-    /// [`BTreeRecency::with_start_clock`]).
-    pub fn with_start_clock(n: usize, b: usize, clock: u64) -> Self {
-        Self {
-            matching: BMatching::new(n, b),
-            recency: BTreeRecency::with_start_clock(n, clock),
-        }
-    }
-}
-
-impl RecencyMatching for BTreeRecencyMatching {
-    fn new(n: usize, b: usize) -> Self {
-        Self::with_start_clock(n, b, 0)
-    }
-
-    fn matching(&self) -> &BMatching {
-        &self.matching
-    }
-
-    fn touch_hit(&mut self, pair: Pair) -> bool {
-        if !self.matching.contains(pair) {
-            return false;
-        }
-        self.recency.touch(pair);
-        true
-    }
-
-    fn insert_mru(&mut self, pair: Pair) {
-        self.matching.insert(pair);
-        self.recency.touch(pair);
-    }
-
-    fn remove(&mut self, pair: Pair) -> bool {
-        if !self.matching.remove(pair) {
-            return false;
-        }
-        let tracked = self.recency.remove(pair);
-        debug_assert!(tracked, "matched edge missing from recency index");
-        true
-    }
-
-    fn lru_edge(&self, v: NodeId) -> Option<Pair> {
-        self.recency.lru_edge(v)
-    }
-
-    fn recency_order(&self, v: NodeId) -> Vec<Pair> {
-        self.recency.order(v)
     }
 }
 
@@ -482,56 +307,6 @@ mod tests {
         let m = LruBMatching::new(3, 2);
         assert_eq!(m.lru_edge(1), None);
         assert!(m.recency_order(1).is_empty());
-    }
-
-    #[test]
-    fn btree_reference_matches_flat_on_a_scripted_sequence() {
-        let mut flat = LruBMatching::new(8, 2);
-        let mut tree = BTreeRecencyMatching::new(8, 2);
-        let script = [p(0, 1), p(0, 2), p(1, 2), p(3, 4), p(0, 1), p(1, 2)];
-        for e in script {
-            if !flat.touch_hit(e) {
-                assert!(!tree.touch_hit(e));
-                if flat.matching().can_insert(e) {
-                    flat.insert_mru(e);
-                    tree.insert_mru(e);
-                }
-            } else {
-                assert!(tree.touch_hit(e));
-            }
-            for v in 0..8 {
-                assert_eq!(flat.recency_order(v), tree.recency_order(v));
-                assert_eq!(flat.lru_edge(v), tree.lru_edge(v));
-            }
-        }
-        flat.assert_valid();
-    }
-
-    #[test]
-    fn large_start_clock_does_not_perturb_the_reference() {
-        // Stamps near the top of the u64 range order exactly like small
-        // ones (no wrap occurs); the flat structure has no stamps at all.
-        let mut tree = BTreeRecencyMatching::with_start_clock(4, 2, u64::MAX - 16);
-        let mut flat = LruBMatching::new(4, 2);
-        for e in [p(0, 1), p(0, 2), p(0, 1), p(2, 3)] {
-            if !tree.touch_hit(e) {
-                tree.insert_mru(e);
-                flat.insert_mru(e);
-            } else {
-                assert!(flat.touch_hit(e));
-            }
-        }
-        for v in 0..4 {
-            assert_eq!(tree.recency_order(v), flat.recency_order(v));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "stamp clock overflow")]
-    fn btree_clock_overflow_is_detected_not_silent() {
-        let mut tree = BTreeRecencyMatching::with_start_clock(4, 2, u64::MAX - 1);
-        tree.insert_mru(p(0, 1)); // stamp u64::MAX
-        tree.touch_hit(p(0, 1)); // would wrap to 0 and reorder: abort
     }
 
     #[test]
