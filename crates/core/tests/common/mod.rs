@@ -1,13 +1,14 @@
-//! Batched ≡ per-request: for every scheduler (R-BMA lazy and strict,
-//! BMA, Oblivious, Rotor with rotations inside and outside chunks, and
-//! PeriodicRebuild on the default `serve_batch` loop), serving a trace
-//! through `serve_batch` at batch sizes 2, 7, 97, 1024 and 70 000 must
-//! produce exactly the `RunReport` of `batch_size = 1` — every checkpoint
-//! field, not just totals. The traces cover duplicate-heavy runs,
-//! all-distinct permutation laps, hub-concentrated star churn, and a
-//! specials-heavy mix of the last two at small α (where nearly every R-BMA
-//! request takes the Theorem-2 slow path); checkpoints land inside
-//! batches and the verification interval is coprime to the batch sizes.
+//! Shared batched ≡ per-request harness for `sorted_equivalence.rs`
+//! and `specials_sharded_equivalence.rs`: for every scheduler (R-BMA lazy
+//! and strict, BMA, Oblivious, Rotor with rotations inside and outside
+//! chunks, and PeriodicRebuild on the default `serve_batch` loop), serving
+//! a trace through `serve_batch` at batch sizes 2, 7, 97, 1024 and 70 000
+//! must produce exactly the `RunReport` of `batch_size = 1` — every
+//! checkpoint field, not just totals. Checkpoints land inside batches and
+//! the verification interval is coprime to the batch sizes.
+
+// Each test crate that includes this module uses a subset of it.
+#![allow(dead_code)]
 
 use dcn_core::algorithms::bma::Bma;
 use dcn_core::algorithms::oblivious::Oblivious;
@@ -16,16 +17,15 @@ use dcn_core::algorithms::rbma::{Rbma, RemovalMode};
 use dcn_core::algorithms::rotor::Rotor;
 use dcn_core::{run, OnlineScheduler, RunReport, SimConfig};
 use dcn_topology::{builders, DistanceMatrix, Pair};
-use proptest::prelude::*;
 use std::sync::Arc;
 
 /// Batch sizes every case is served at; 70 000 is above any u16 chunk
 /// length, so a long enough trace gets one chunk past 65 535 requests.
-const BATCH_SIZES: [usize; 5] = [2, 7, 97, 1024, 70_000];
+pub const BATCH_SIZES: [usize; 5] = [2, 7, 97, 1024, 70_000];
 
 /// The trace shapes the batched loops must stay exact on.
 #[derive(Clone, Copy, Debug)]
-enum Shape {
+pub enum Shape {
     /// Long runs of a few identical pairs.
     DuplicateHeavy,
     /// All-distinct pairs: every chunk is a stride walk over the pairs.
@@ -37,16 +37,9 @@ enum Shape {
     SpecialsHeavy,
 }
 
-const SHAPES: [Shape; 4] = [
-    Shape::DuplicateHeavy,
-    Shape::Permutation,
-    Shape::Star,
-    Shape::SpecialsHeavy,
-];
-
 /// Deterministic trace synthesis from an xorshift stream — no RNG state
 /// shared with the schedulers under test.
-fn make_trace(shape: Shape, n: u32, len: usize, seed: u64) -> Vec<Pair> {
+pub fn make_trace(shape: Shape, n: u32, len: usize, seed: u64) -> Vec<Pair> {
     let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     let mut next = move || {
         x ^= x << 13;
@@ -118,7 +111,7 @@ fn make_trace(shape: Shape, n: u32, len: usize, seed: u64) -> Vec<Pair> {
 }
 
 /// Reports must agree on every field except wall-clock time.
-fn assert_reports_identical(a: &RunReport, b: &RunReport, ctx: &str) {
+pub fn assert_reports_identical(a: &RunReport, b: &RunReport, ctx: &str) {
     assert_eq!(a.total.requests, b.total.requests, "{ctx}");
     assert_eq!(a.total.routing_cost, b.total.routing_cost, "{ctx}");
     assert_eq!(a.total.reconfig_cost, b.total.reconfig_cost, "{ctx}");
@@ -140,7 +133,7 @@ type Factory = Box<dyn Fn() -> Box<dyn OnlineScheduler>>;
 /// (R-BMA in both removal modes, BMA, Oblivious), a short-period rotor
 /// whose rotation boundaries fall *inside* chunks, a long-period one, and
 /// a default-loop scheduler (PeriodicRebuild).
-fn factories(dm: &Arc<DistanceMatrix>, alpha: u64, b: usize) -> Vec<(&'static str, Factory)> {
+pub fn factories(dm: &Arc<DistanceMatrix>, alpha: u64, b: usize) -> Vec<(&'static str, Factory)> {
     let n = dm.num_racks();
     let d = |f: fn(Arc<DistanceMatrix>, u64, usize) -> Box<dyn OnlineScheduler>| {
         let dm = Arc::clone(dm);
@@ -176,11 +169,19 @@ fn factories(dm: &Arc<DistanceMatrix>, alpha: u64, b: usize) -> Vec<(&'static st
 }
 
 /// Checkpoints deliberately off the batch grid.
-fn mid_checkpoints(len: usize) -> Vec<usize> {
+pub fn mid_checkpoints(len: usize) -> Vec<usize> {
     vec![len / 3 + 1, len / 2, len.saturating_sub(1)]
 }
 
-fn check(shape: Shape, racks: usize, len: usize, seed: u64, alpha: u64, b: usize, cps: Vec<usize>) {
+pub fn check(
+    shape: Shape,
+    racks: usize,
+    len: usize,
+    seed: u64,
+    alpha: u64,
+    b: usize,
+    cps: Vec<usize>,
+) {
     let net = builders::fat_tree_with_racks(racks);
     let dm = Arc::new(DistanceMatrix::between_racks(&net));
     // fat_tree_with_racks may round the rack count up — draw pairs from
@@ -225,75 +226,4 @@ fn check(shape: Shape, racks: usize, len: usize, seed: u64, alpha: u64, b: usize
             );
         }
     }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn batched_serve_equals_per_request(
-        shape_sel in 0usize..4,
-        racks in 6usize..20,
-        len in 60usize..1_200,
-        seed in 0u64..10_000,
-        alpha in 1u64..15,
-        b in 2usize..5,
-    ) {
-        let shape = SHAPES[shape_sel];
-        // The specials-heavy shape only earns its name at small α.
-        let alpha = match shape {
-            Shape::SpecialsHeavy => 1 + alpha % 4,
-            _ => alpha,
-        };
-        check(shape, racks, len, seed, alpha, b, mid_checkpoints(len));
-    }
-}
-
-/// Pinned worst-case corners the proptest might not draw every run.
-#[test]
-fn pinned_corner_cases() {
-    // Batch size 2 with runs of duplicates; α = 1 (every request special
-    // for uniform-distance R-BMA, instant buys for BMA).
-    check(
-        Shape::DuplicateHeavy,
-        8,
-        200,
-        42,
-        1,
-        3,
-        mid_checkpoints(200),
-    );
-    // Star hub churn with batches larger than the trace.
-    check(Shape::Star, 16, 150, 7, 10, 3, mid_checkpoints(150));
-    // Permutation sweep where every pair in a chunk is distinct.
-    check(Shape::Permutation, 12, 300, 3, 8, 3, mid_checkpoints(300));
-    // Everything special, small caches: maximal fault/eviction churn.
-    check(
-        Shape::SpecialsHeavy,
-        8,
-        1_500,
-        42,
-        1,
-        2,
-        mid_checkpoints(1_500),
-    );
-    // α = 4 on a fat tree (ℓ ∈ {2, 4} ⇒ k_e ∈ {1, 2}) over a long run.
-    check(
-        Shape::SpecialsHeavy,
-        10,
-        4_000,
-        7,
-        4,
-        3,
-        mid_checkpoints(4_000),
-    );
-    check(Shape::SpecialsHeavy, 6, 450, 3, 2, 2, mid_checkpoints(450));
-}
-
-/// One chunk longer than 65 535 requests: the only checkpoint sits near
-/// the end, so the 70 000-request batch is served in one call.
-#[test]
-fn chunks_past_u16_lengths_stay_exact() {
-    check(Shape::SpecialsHeavy, 12, 75_000, 5, 4, 3, vec![74_999]);
-    check(Shape::DuplicateHeavy, 12, 75_000, 9, 10, 3, vec![74_999]);
 }
