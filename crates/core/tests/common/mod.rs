@@ -4,8 +4,11 @@
 //! chunks, and PeriodicRebuild on the default `serve_batch` loop), serving
 //! a trace through `serve_batch` at batch sizes 2, 7, 97, 1024 and 70 000
 //! must produce exactly the `RunReport` of `batch_size = 1` — every
-//! checkpoint field, not just totals. Checkpoints land inside batches and
-//! the verification interval is coprime to the batch sizes.
+//! checkpoint field, not just totals. Checkpoints land inside batches.
+//! Each caller picks the verification interval: a nonzero one (coprime to
+//! the batch sizes) puts verify boundaries inside batches too, but since
+//! the simulator cuts every chunk at those boundaries it also caps the
+//! chunk length, so long-chunk cases pass 0 (checkpoints only).
 
 // Each test crate that includes this module uses a subset of it.
 #![allow(dead_code)]
@@ -15,7 +18,9 @@ use dcn_core::algorithms::oblivious::Oblivious;
 use dcn_core::algorithms::periodic::PeriodicRebuild;
 use dcn_core::algorithms::rbma::{Rbma, RemovalMode};
 use dcn_core::algorithms::rotor::Rotor;
+use dcn_core::scheduler::{BatchOutcome, ServeOutcome};
 use dcn_core::{run, OnlineScheduler, RunReport, SimConfig};
+use dcn_matching::BMatching;
 use dcn_topology::{builders, DistanceMatrix, Pair};
 use std::sync::Arc;
 
@@ -129,6 +134,33 @@ pub fn assert_reports_identical(a: &RunReport, b: &RunReport, ctx: &str) {
 
 type Factory = Box<dyn Fn() -> Box<dyn OnlineScheduler>>;
 
+/// Forwards to the wrapped scheduler and records the longest chunk the
+/// simulator handed to `serve_batch`, so callers can assert which chunk
+/// lengths a case really exercised.
+struct ChunkProbe {
+    inner: Box<dyn OnlineScheduler>,
+    longest: usize,
+}
+
+impl OnlineScheduler for ChunkProbe {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn cap(&self) -> usize {
+        self.inner.cap()
+    }
+    fn serve(&mut self, pair: Pair) -> ServeOutcome {
+        self.inner.serve(pair)
+    }
+    fn serve_batch(&mut self, batch: &[Pair], dm: &DistanceMatrix, acc: &mut BatchOutcome) {
+        self.longest = self.longest.max(batch.len());
+        self.inner.serve_batch(batch, dm, acc);
+    }
+    fn matching(&self) -> &BMatching {
+        self.inner.matching()
+    }
+}
+
 /// Every scheduler the equivalence must hold for: the fused overrides
 /// (R-BMA in both removal modes, BMA, Oblivious), a short-period rotor
 /// whose rotation boundaries fall *inside* chunks, a long-period one, and
@@ -173,6 +205,11 @@ pub fn mid_checkpoints(len: usize) -> Vec<usize> {
     vec![len / 3 + 1, len / 2, len.saturating_sub(1)]
 }
 
+/// Serves the case at every batch size and asserts each report equals the
+/// per-request one. `verify_every` is the simulator's verification
+/// interval (0 = checkpoints only). Returns, per entry of `BATCH_SIZES`,
+/// the longest chunk any scheduler was handed at that batch size.
+#[allow(clippy::too_many_arguments)]
 pub fn check(
     shape: Shape,
     racks: usize,
@@ -181,19 +218,20 @@ pub fn check(
     alpha: u64,
     b: usize,
     cps: Vec<usize>,
-) {
+    verify_every: usize,
+) -> [usize; BATCH_SIZES.len()] {
     let net = builders::fat_tree_with_racks(racks);
     let dm = Arc::new(DistanceMatrix::between_racks(&net));
     // fat_tree_with_racks may round the rack count up — draw pairs from
     // the actual universe.
     let n = dm.num_racks();
     let trace = make_trace(shape, n as u32, len, seed);
-    // Verification interval coprime to the batch sizes.
     let base = SimConfig {
         checkpoints: cps,
-        verify_every: 53,
+        verify_every,
         ..Default::default()
     };
+    let mut longest = [0usize; BATCH_SIZES.len()];
     for (name, make) in factories(&dm, alpha, b) {
         let per_request = run(
             make().as_mut(),
@@ -211,9 +249,13 @@ pub fn check(
                 "{name}: no specials fired (α={alpha}, len={len}, seed={seed})"
             );
         }
-        for batch in BATCH_SIZES {
+        for (i, batch) in BATCH_SIZES.into_iter().enumerate() {
+            let mut probe = ChunkProbe {
+                inner: make(),
+                longest: 0,
+            };
             let batched = run(
-                make().as_mut(),
+                &mut probe,
                 &dm,
                 alpha,
                 &trace,
@@ -222,8 +264,11 @@ pub fn check(
             assert_reports_identical(
                 &batched,
                 &per_request,
-                &format!("{name} {shape:?} α={alpha} b={b} batch={batch}"),
+                &format!("{name} {shape:?} α={alpha} b={b} batch={batch} verify={verify_every}"),
             );
+            assert!(probe.longest <= batch, "{name}: chunk longer than batch");
+            longest[i] = longest[i].max(probe.longest);
         }
     }
+    longest
 }

@@ -1,220 +1,19 @@
-//! Property tests for the bucket-sort serve preprocessing: for **every**
-//! scheduler with a bucketed `serve_batch` override (R-BMA lazy/strict,
-//! BMA over both recency indexes, Oblivious, Rotor) and for schedulers on
-//! the default path, the sorted, unsorted, per-request and intra-sharded
-//! serve paths must produce exactly equal `RunReport`s — every checkpoint
-//! field, not just totals — across batch sizes, duplicate-heavy /
-//! permutation / star trace shapes, checkpoint boundaries that land inside
-//! batches, verification boundaries coprime to the batch size, and rotor
-//! reconfiguration (rotation) boundaries that force the mid-chunk
-//! fallback.
+//! Batched ≡ per-request on the general trace shapes: duplicate-heavy
+//! runs, all-distinct permutation laps and hub-concentrated star churn,
+//! for every scheduler at every batch size of the shared harness
+//! (`common/mod.rs`), with verification boundaries every 53 requests
+//! falling inside batches. The specials-heavy mix at small α lives in
+//! `specials_sharded_equivalence.rs` on the same harness.
 
-use dcn_core::algorithms::bma::{Bma, BmaBTree};
-use dcn_core::algorithms::oblivious::Oblivious;
-use dcn_core::algorithms::periodic::PeriodicRebuild;
-use dcn_core::algorithms::rbma::{Rbma, RemovalMode};
-use dcn_core::algorithms::rotor::Rotor;
-use dcn_core::{run, OnlineScheduler, RunReport, ServeMode, SimConfig};
-use dcn_topology::{builders, DistanceMatrix, Pair};
+mod common;
+
+use common::{check, mid_checkpoints, Shape, BATCH_SIZES};
 use proptest::prelude::*;
-use std::sync::Arc;
 
-/// The trace shapes the bucketing must stay exact on: long runs of
-/// identical pairs (the best case for run-aware upkeep), all-distinct
-/// pairs (the worst case), and hub-concentrated churn (the
-/// eviction-heavy case).
-#[derive(Clone, Copy, Debug)]
-enum Shape {
-    DuplicateHeavy,
-    Permutation,
-    Star,
-}
-
-/// Deterministic trace synthesis from an xorshift stream — no RNG state
-/// shared with the schedulers under test.
-fn make_trace(shape: Shape, n: u32, len: usize, seed: u64) -> Vec<Pair> {
-    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut next = move || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        x
-    };
-    let pair = |a: u64, b: u64| {
-        let a = (a % n as u64) as u32;
-        let mut b = (b % n as u64) as u32;
-        if a == b {
-            b = (b + 1) % n;
-        }
-        Pair::new(a, b)
-    };
-    let mut out = Vec::with_capacity(len);
-    match shape {
-        Shape::DuplicateHeavy => {
-            // A hot pool of 3 pairs, emitted in runs of 1..=8.
-            let pool: Vec<Pair> = (0..3).map(|_| pair(next(), next())).collect();
-            while out.len() < len {
-                let p = pool[(next() % pool.len() as u64) as usize];
-                for _ in 0..=(next() % 8) {
-                    out.push(p);
-                }
-            }
-        }
-        Shape::Permutation => {
-            // Walk all distinct pairs with a stride coprime to the count:
-            // within each lap every pair occurs exactly once, so chunks
-            // carry no duplicates at all.
-            let all: Vec<Pair> = (0..n)
-                .flat_map(|a| (a + 1..n).map(move |b| Pair::new(a, b)))
-                .collect();
-            let mut stride = 1 + (next() % all.len() as u64) as usize;
-            while stride > 1 && all.len() % stride == 0 {
-                stride -= 1;
-            }
-            let mut i = (next() % all.len() as u64) as usize;
-            for _ in 0..len {
-                out.push(all[i]);
-                i = (i + stride) % all.len();
-            }
-        }
-        Shape::Star => {
-            // Everything hits one hub rack — maximal eviction pressure on
-            // that rack's cache / recency list.
-            let hub = next() % n as u64;
-            for _ in 0..len {
-                out.push(pair(hub, next()));
-            }
-        }
-    }
-    out.truncate(len);
-    out
-}
-
-/// Reports must agree on every field except wall-clock time.
-fn assert_reports_identical(a: &RunReport, b: &RunReport, ctx: &str) {
-    assert_eq!(a.total.requests, b.total.requests, "{ctx}");
-    assert_eq!(a.total.routing_cost, b.total.routing_cost, "{ctx}");
-    assert_eq!(a.total.reconfig_cost, b.total.reconfig_cost, "{ctx}");
-    assert_eq!(a.total.reconfigurations, b.total.reconfigurations, "{ctx}");
-    assert_eq!(a.total.matched_requests, b.total.matched_requests, "{ctx}");
-    assert_eq!(a.checkpoints.len(), b.checkpoints.len(), "{ctx}");
-    for (x, y) in a.checkpoints.iter().zip(&b.checkpoints) {
-        assert_eq!(x.requests, y.requests, "{ctx}");
-        assert_eq!(x.routing_cost, y.routing_cost, "{ctx}");
-        assert_eq!(x.reconfig_cost, y.reconfig_cost, "{ctx}");
-        assert_eq!(x.reconfigurations, y.reconfigurations, "{ctx}");
-        assert_eq!(x.matched_requests, y.matched_requests, "{ctx}");
-    }
-}
-
-type Factory = Box<dyn Fn() -> Box<dyn OnlineScheduler>>;
-
-/// Every scheduler the equivalence must hold for: the bucketed overrides
-/// (R-BMA in both removal modes, BMA over both recency indexes,
-/// Oblivious, Rotor), a short-period rotor whose rotation boundaries fall
-/// *inside* chunks (exercising the mid-chunk fallback), and a default-path
-/// scheduler (Periodic) as the control.
-fn factories(dm: &Arc<DistanceMatrix>, alpha: u64) -> Vec<(&'static str, Factory)> {
-    let n = dm.num_racks();
-    let d = |f: fn(Arc<DistanceMatrix>, u64) -> Box<dyn OnlineScheduler>| {
-        let dm = Arc::clone(dm);
-        Box::new(move || f(dm.clone(), alpha)) as Factory
-    };
-    vec![
-        (
-            "rbma-lazy",
-            d(|dm, a| Box::new(Rbma::new(dm, 3, a, RemovalMode::Lazy, 7))),
-        ),
-        (
-            "rbma-strict",
-            d(|dm, a| Box::new(Rbma::new(dm, 3, a, RemovalMode::Strict, 7))),
-        ),
-        ("bma", d(|dm, a| Box::new(Bma::new(dm, 3, a)))),
-        ("bma-btree", d(|dm, a| Box::new(BmaBTree::new(dm, 3, a)))),
-        (
-            "oblivious",
-            Box::new(move || Box::new(Oblivious::new(n, 3))),
-        ),
-        (
-            "rotor-short",
-            Box::new(move || Box::new(Rotor::new(n, 2, 5))),
-        ),
-        (
-            "rotor-long",
-            Box::new(move || Box::new(Rotor::new(n, 2, 1_000_000))),
-        ),
-        (
-            "periodic-default-path",
-            d(|dm, _| Box::new(PeriodicRebuild::new(dm, 3, 50))),
-        ),
-    ]
-}
-
-fn check_all_paths(shape: Shape, racks: usize, len: usize, seed: u64, batch: usize, alpha: u64) {
-    let net = builders::fat_tree_with_racks(racks);
-    let dm = Arc::new(DistanceMatrix::between_racks(&net));
-    // fat_tree_with_racks may round the rack count up — draw pairs from
-    // the actual universe so bucketing sees the full id range.
-    let n = dm.num_racks();
-    let trace = make_trace(shape, n as u32, len, seed);
-    // Checkpoints deliberately off the batch grid; verification interval
-    // coprime to common batch sizes.
-    let base = SimConfig {
-        checkpoints: vec![len / 3 + 1, len / 2, len.saturating_sub(1)],
-        verify_every: 53,
-        ..Default::default()
-    };
-    for (name, make) in factories(&dm, alpha) {
-        let mut reference = make();
-        let unbatched = run(
-            reference.as_mut(),
-            &dm,
-            alpha,
-            &trace,
-            &base
-                .clone()
-                .with_batch_size(1)
-                .with_serve_mode(ServeMode::Unsorted),
-        );
-        let config = base.clone().with_batch_size(batch);
-        let mut s = make();
-        let sorted = run(s.as_mut(), &dm, alpha, &trace, &config);
-        assert_reports_identical(&sorted, &unbatched, &format!("{name} sorted b={batch}"));
-        let mut s = make();
-        let unsorted = run(
-            s.as_mut(),
-            &dm,
-            alpha,
-            &trace,
-            &config.clone().with_serve_mode(ServeMode::Unsorted),
-        );
-        assert_reports_identical(&unsorted, &unbatched, &format!("{name} unsorted b={batch}"));
-        let mut s = make();
-        let whole = run(
-            s.as_mut(),
-            &dm,
-            alpha,
-            &trace,
-            &base.clone().with_batch_size(len.max(1)),
-        );
-        assert_reports_identical(&whole, &unbatched, &format!("{name} whole-trace batch"));
-        for intra in [2usize, 3] {
-            let mut s = make();
-            let sharded = run(
-                s.as_mut(),
-                &dm,
-                alpha,
-                &trace,
-                &config.clone().with_intra_threads(intra),
-            );
-            assert_reports_identical(
-                &sharded,
-                &unbatched,
-                &format!("{name} sharded b={batch} intra={intra}"),
-            );
-        }
-    }
-}
+/// Verification interval coprime to the batch sizes. It also cuts every
+/// chunk to at most this many requests, which is why the long-chunk case
+/// below runs without it.
+const VERIFY_EVERY: usize = 53;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -223,24 +22,65 @@ proptest! {
     fn every_serve_path_reports_identically(
         shape_sel in 0usize..3,
         racks in 6usize..20,
-        len in 60usize..400,
+        len in 60usize..1_200,
         seed in 0u64..10_000,
-        batch in 2usize..130,
         alpha in 1u64..15,
+        b in 2usize..5,
     ) {
         let shape = [Shape::DuplicateHeavy, Shape::Permutation, Shape::Star][shape_sel];
-        check_all_paths(shape, racks, len, seed, batch, alpha);
+        check(shape, racks, len, seed, alpha, b, mid_checkpoints(len), VERIFY_EVERY);
     }
 }
 
 /// Pinned worst-case corners the proptest might not draw every run.
 #[test]
 fn pinned_corner_cases() {
-    // Batch size 2 with runs of duplicates; alpha 1 (every request special
+    // Batch size 2 with runs of duplicates; α = 1 (every request special
     // for uniform-distance R-BMA, instant buys for BMA).
-    check_all_paths(Shape::DuplicateHeavy, 8, 200, 42, 2, 1);
-    // Star hub churn with a batch larger than the trace.
-    check_all_paths(Shape::Star, 16, 150, 7, 1024, 10);
+    check(
+        Shape::DuplicateHeavy,
+        8,
+        200,
+        42,
+        1,
+        3,
+        mid_checkpoints(200),
+        VERIFY_EVERY,
+    );
+    // Star hub churn with batches larger than the trace.
+    check(
+        Shape::Star,
+        16,
+        150,
+        7,
+        10,
+        3,
+        mid_checkpoints(150),
+        VERIFY_EVERY,
+    );
     // Permutation sweep where every pair in a chunk is distinct.
-    check_all_paths(Shape::Permutation, 12, 300, 3, 64, 8);
+    check(
+        Shape::Permutation,
+        12,
+        300,
+        3,
+        8,
+        3,
+        mid_checkpoints(300),
+        VERIFY_EVERY,
+    );
+}
+
+/// One chunk longer than 65 535 requests: no verification interval and
+/// the only checkpoint near the end, so the 70 000-request batch is
+/// served in one call (asserted, not assumed).
+#[test]
+fn chunks_past_u16_lengths_stay_exact() {
+    for (shape, seed, alpha) in [(Shape::SpecialsHeavy, 5, 4), (Shape::DuplicateHeavy, 9, 10)] {
+        let longest = check(shape, 12, 75_000, seed, alpha, 3, vec![74_999], 0);
+        assert_eq!(
+            longest, BATCH_SIZES,
+            "{shape:?}: a batch was not served whole"
+        );
+    }
 }

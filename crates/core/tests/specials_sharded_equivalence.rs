@@ -1,126 +1,39 @@
-//! Specials-heavy intra-sharding equivalence (the PR 9 serve-pass
-//! parallelism + specials fast path): at small α nearly every request is
-//! a Theorem-1 special, so these traces drive the R-BMA slow path — the
-//! hint-clean fast specials, the fault/eviction machinery, the
-//! density-dispatch divert to the unsorted fused loop — through the
-//! sharded Phase-A charge at every width. The full `RunReport` (totals
-//! and every checkpoint field) must be identical across widths 1–4 and
-//! against the per-request reference, and the runs must be non-vacuous:
-//! specials actually fired (every R-BMA reconfiguration is caused by a
-//! special request, so a positive reconfiguration count proves it).
+//! Batched ≡ per-request on specials-heavy traces: alternating
+//! permutation and star segments at small α, where nearly every R-BMA
+//! request is a Theorem-1 special and takes the slow path with its
+//! fault/eviction churn. Served on the shared harness (`common/mod.rs`),
+//! which also asserts the runs are non-vacuous: every R-BMA matching
+//! insertion happens inside a special request, so reconfigurations > 0
+//! proves specials fired. These cases run without a verification
+//! interval, so chunks are cut only at the two checkpoints: the 1024
+//! batch serves whole 1024-request chunks on the longer traces, and the
+//! 70 000 batch serves each stretch between checkpoints in one call. (The file keeps the
+//! name it had when it also covered intra-run sharding, which is gone.)
 
-use dcn_core::algorithms::rbma::{Rbma, RemovalMode};
-use dcn_core::{run, RunReport, ServeMode, SimConfig};
-use dcn_topology::{builders, DistanceMatrix, Pair};
+mod common;
+
+use common::{check, Shape, BATCH_SIZES};
 use proptest::prelude::*;
-use std::sync::Arc;
 
-/// Specials-heavy trace: alternating permutation and star segments.
-/// Permutation laps touch every pair once (distinct-pair chunks, short
-/// runs — the worst case for closed-form charging); star segments slam
-/// one hub rack (maximal eviction pressure, hence marked-set and
-/// fault traffic). Deterministic xorshift, no state shared with the
-/// scheduler's RNG.
-fn specials_heavy_trace(n: u32, len: usize, seed: u64) -> Vec<Pair> {
-    let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut next = move || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        x
-    };
-    let all: Vec<Pair> = (0..n)
-        .flat_map(|a| (a + 1..n).map(move |b| Pair::new(a, b)))
-        .collect();
-    let mut out = Vec::with_capacity(len);
-    let mut perm_i = (next() % all.len() as u64) as usize;
-    while out.len() < len {
-        // Permutation segment: a stride-walk lap over distinct pairs.
-        let seg = 20 + (next() % 60) as usize;
-        let stride = 1 + (next() % (all.len() as u64 - 1)) as usize;
-        for _ in 0..seg {
-            out.push(all[perm_i]);
-            perm_i = (perm_i + stride) % all.len();
-        }
-        // Star segment: hub-concentrated churn.
-        let hub = (next() % n as u64) as u32;
-        let seg = 20 + (next() % 60) as usize;
-        for _ in 0..seg {
-            let mut other = (next() % n as u64) as u32;
-            if other == hub {
-                other = (other + 1) % n;
-            }
-            out.push(Pair::new(hub, other));
-        }
-    }
-    out.truncate(len);
-    out
-}
-
-fn assert_reports_identical(a: &RunReport, b: &RunReport, ctx: &str) {
-    assert_eq!(a.total.requests, b.total.requests, "{ctx}");
-    assert_eq!(a.total.routing_cost, b.total.routing_cost, "{ctx}");
-    assert_eq!(a.total.reconfig_cost, b.total.reconfig_cost, "{ctx}");
-    assert_eq!(a.total.reconfigurations, b.total.reconfigurations, "{ctx}");
-    assert_eq!(a.total.matched_requests, b.total.matched_requests, "{ctx}");
-    assert_eq!(a.checkpoints.len(), b.checkpoints.len(), "{ctx}");
-    for (x, y) in a.checkpoints.iter().zip(&b.checkpoints) {
-        assert_eq!(x.requests, y.requests, "{ctx}");
-        assert_eq!(x.routing_cost, y.routing_cost, "{ctx}");
-        assert_eq!(x.reconfig_cost, y.reconfig_cost, "{ctx}");
-        assert_eq!(x.reconfigurations, y.reconfigurations, "{ctx}");
-        assert_eq!(x.matched_requests, y.matched_requests, "{ctx}");
-    }
-}
-
-fn check_specials_heavy(racks: usize, len: usize, seed: u64, batch: usize, alpha: u64, b: usize) {
-    let net = builders::fat_tree_with_racks(racks);
-    let dm = Arc::new(DistanceMatrix::between_racks(&net));
-    let n = dm.num_racks();
-    let trace = specials_heavy_trace(n as u32, len, seed);
-    let base = SimConfig {
-        checkpoints: vec![len / 3 + 1, len.saturating_sub(1)],
-        ..Default::default()
-    };
-    for mode in [RemovalMode::Lazy, RemovalMode::Strict] {
-        let make = || Rbma::new(Arc::clone(&dm), b, alpha, mode, 7);
-        // Per-request reference (no batching, no slab, no dispatch).
-        let reference = run(
-            &mut make(),
-            &dm,
-            alpha,
-            &trace,
-            &base
-                .clone()
-                .with_batch_size(1)
-                .with_serve_mode(ServeMode::Unsorted),
-        );
-        // Non-vacuity: the trace must actually drive the specials slow
-        // path. Every R-BMA matching insertion happens inside a special
-        // request, so reconfigurations > 0 proves specials fired (and at
-        // these α nearly every request is one).
-        assert!(
-            reference.total.reconfigurations > 0,
-            "vacuous trace: no specials fired (α={alpha}, len={len}, seed={seed})"
-        );
-        for intra in 1usize..=4 {
-            let sharded = run(
-                &mut make(),
-                &dm,
-                alpha,
-                &trace,
-                &base
-                    .clone()
-                    .with_batch_size(batch)
-                    .with_intra_threads(intra),
-            );
-            assert_reports_identical(
-                &sharded,
-                &reference,
-                &format!("specials-heavy {mode:?} α={alpha} batch={batch} intra={intra}"),
-            );
-        }
-    }
+/// Checkpoints off the batch grid; no verification interval, so chunk
+/// length is bounded only by the batch size and these two boundaries.
+fn check_specials_heavy(racks: usize, len: usize, seed: u64, alpha: u64, b: usize) {
+    let longest = check(
+        Shape::SpecialsHeavy,
+        racks,
+        len,
+        seed,
+        alpha,
+        b,
+        vec![len / 3 + 1, len.saturating_sub(1)],
+        0,
+    );
+    // Every trace here is at least 400 long, so its first segment holds a
+    // whole 97-request chunk.
+    assert_eq!(
+        longest[2], BATCH_SIZES[2],
+        "97-request chunks were cut short"
+    );
 }
 
 proptest! {
@@ -131,26 +44,19 @@ proptest! {
         racks in 6usize..16,
         len in 400usize..2_000,
         seed in 0u64..10_000,
-        batch in 32usize..300,
         alpha in 1u64..5,
         b in 2usize..5,
     ) {
-        check_specials_heavy(racks, len, seed, batch, alpha, b);
+        check_specials_heavy(racks, len, seed, alpha, b);
     }
 }
 
-/// Pinned corners: α = 1 (every request special), a batch big enough to
-/// cross the density-dispatch warmup inside one run, and a trace long
-/// enough that the dispatch actually diverts chunks to the unsorted
-/// fused loop mid-run (the PR 9 adaptive path).
+/// Pinned specials-heavy corners the proptest might not draw every run.
 #[test]
 fn pinned_specials_heavy_corners() {
     // Everything special, small caches: maximal fault/eviction churn.
-    check_specials_heavy(8, 1_500, 42, 128, 1, 2);
-    // Crosses the 1024-request dispatch warmup with α = 4 (fat-tree
-    // ℓ ∈ {2,4} ⇒ k_e ∈ {1,2}): the sorted pass serves the first chunks,
-    // then the density estimate diverts to the fused loop.
-    check_specials_heavy(10, 4_000, 7, 512, 4, 3);
-    // Width > chunk count: more workers than work must stay exact.
-    check_specials_heavy(6, 450, 3, 512, 2, 2);
+    check_specials_heavy(8, 1_500, 42, 1, 2);
+    // α = 4 on a fat tree (ℓ ∈ {2, 4} ⇒ k_e ∈ {1, 2}) over a long run.
+    check_specials_heavy(10, 4_000, 7, 4, 3);
+    check_specials_heavy(6, 450, 3, 2, 2);
 }
