@@ -8,6 +8,11 @@
 //! baseline (which is exactly the historical per-request loop: one virtual
 //! serve call, one accounting fold and one stopwatch start/pause per
 //! request). CI gates this bench against the shared criterion baseline.
+//!
+//! Every group above runs Zipf traffic, where most requests hit. The
+//! `batch_churn_b12_uniform` group is the fault-path point: uniform
+//! traffic at α = 4, where few requests hit and BMA buys and evicts on
+//! most of the rest.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use dcn_core::algorithms::AlgorithmKind;
@@ -112,6 +117,37 @@ fn serve_inner_batched_vs_unbatched(c: &mut Criterion) {
         }
         group.finish();
     }
+}
+
+/// The fault path under the same gate: uniform traffic at α = 4 (the
+/// `perfbench` churn mix — few matched requests, a buy or Theorem-1
+/// special on most of the rest, constant eviction), R-BMA and BMA
+/// `serve_batch` at batch 1024.
+fn serve_churn_uniform(c: &mut Criterion) {
+    const CHURN_ALPHA: u64 = 4;
+    let dm = distances();
+    let requests = dcn_traces::uniform_source(RACKS, LEN, 5)
+        .materialize()
+        .requests;
+    let mut group = c.benchmark_group("batch_churn_b12_uniform");
+    group
+        .sample_size(10)
+        .warm_up_time(Duration::from_millis(300))
+        .measurement_time(Duration::from_secs(2))
+        .throughput(Throughput::Elements(requests.len() as u64));
+    for algorithm in [AlgorithmKind::Rbma { lazy: true }, AlgorithmKind::Bma] {
+        group.bench_function(algorithm.label(), |bench| {
+            bench.iter(|| {
+                let mut s = algorithm.build_online(dm.clone(), DEGREE, CHURN_ALPHA, 5);
+                let mut acc = BatchOutcome::default();
+                for chunk in requests.chunks(1024) {
+                    s.serve_batch(chunk, &dm, &mut acc);
+                }
+                black_box(acc)
+            });
+        });
+    }
+    group.finish();
 }
 
 /// Trace generation as the pipeline consumes it — through the
@@ -313,6 +349,7 @@ criterion_group!(
     serve_run_batch_sizes,
     serve_inner_batched_vs_unbatched,
     serve_specials_density,
+    serve_churn_uniform,
     fill_batched_vs_unbatched,
     telemetry_overhead,
     failpoint_overhead

@@ -23,24 +23,39 @@
 //! sensitive to `b` than R-BMA, the effect §3.2 reports. The upkeep itself
 //! is O(1): the recency index is a flat intrusive LRU threaded through the
 //! matching's fixed-stride adjacency
-//! ([`dcn_matching::recency::LruBMatching`] — a hit is two list splices,
-//! eviction a head read). The unit tests replay it against a test-local
-//! reference that keeps recency in per-rack `BTreeMap`s of last-use
-//! stamps: same victims, same reports.
+//! ([`dcn_matching::recency::LruBMatching`] — a hit is two list splices).
+//! The unit tests replay it against a test-local reference that keeps
+//! recency in per-rack `BTreeMap`s of last-use stamps: same victims, same
+//! reports.
+//!
+//! The miss/buy/evict path is as flat as R-BMA's hot path, so BMA's serve
+//! time is its recency upkeep and nothing incidental:
+//! - Rent lives in a pair-id-indexed table (the `PairTable` R-BMA's
+//!   Theorem-1 counters use): a miss is one indexed add, and a buy writes
+//!   0 back. There is no hash insert or remove as pairs come and go.
+//! - A victim needs no rent reset. A buy zeroes the pair's rent, and a
+//!   matched pair's requests are hits, which never rent, so every matched
+//!   pair's rent is 0 (a unit test checks it after every request).
+//! - Eviction is addressed by position ([`LruBMatching::evict_lru`]): the
+//!   LRU head slot at the full endpoint is the victim's block position, so
+//!   only the partner's block is scanned before one swap-remove.
 
 use crate::scheduler::{BatchOutcome, OnlineScheduler, ServeOutcome};
 use dcn_matching::{BMatching, LruBMatching};
 use dcn_telemetry::{Counter, Telemetry};
 use dcn_topology::{DistanceMatrix, NodeId, Pair};
-use dcn_util::FxHashMap;
 use std::sync::Arc;
+
+use super::pair_table::PairTable;
 
 /// Deterministic rent-or-buy online b-matching with LRU eviction.
 pub struct Bma {
     dm: Arc<DistanceMatrix>,
     alpha: u64,
-    /// Accumulated fixed-network cost per unmatched pair.
-    counters: FxHashMap<Pair, u64>,
+    /// Accumulated fixed-network cost per pair (0 = no rent accrued; a
+    /// matched pair's rent is always 0, since a buy resets it and hits
+    /// never rent).
+    rent: PairTable<u64>,
     /// Matching + per-endpoint recency (LRU victim selection).
     index: LruBMatching,
     /// Local event recorders, drained by `telemetry_flush` (hits are bulk
@@ -70,7 +85,7 @@ impl Bma {
         Self {
             dm,
             alpha,
-            counters: FxHashMap::default(),
+            rent: PairTable::new(n),
             index: LruBMatching::new(n, b),
             stats: BmaStats::default(),
         }
@@ -80,12 +95,12 @@ impl Bma {
     /// Returns `(added, removed)`.
     #[inline]
     fn serve_miss(&mut self, pair: Pair, ell: u64) -> (u32, u32) {
-        let counter = self.counters.entry(pair).or_insert(0);
-        *counter += ell;
-        if *counter < self.alpha {
+        let rent = self.rent.slot_mut(pair);
+        *rent += ell;
+        if *rent < self.alpha {
             return (0, 0);
         }
-        self.counters.remove(&pair);
+        *rent = 0;
         self.stats.buys.bump();
 
         // Buy the edge; make room deterministically.
@@ -100,14 +115,15 @@ impl Bma {
         (1, removed)
     }
 
-    /// Evicts the least-recently-used matching edge at `node`.
+    /// Evicts the least-recently-used matching edge at `node`. The victim
+    /// leaves with no rent to reset: it was zeroed when the edge was bought,
+    /// and a matched pair's requests are hits, which never rent.
     fn evict_lru_at(&mut self, node: NodeId) {
         let victim = self
             .index
-            .lru_edge(node)
+            .evict_lru(node)
             .expect("eviction requested at a node with no matching edges");
-        self.index.remove(victim);
-        self.counters.remove(&victim);
+        debug_assert_eq!(self.rent.get(victim), 0, "matched {victim} accrued rent");
         self.stats.evictions.bump();
     }
 }
@@ -371,15 +387,26 @@ mod tests {
     /// Drives `Bma` and the B-tree reference in lock step and requires
     /// identical outcomes, matchings, and recency orders at every step —
     /// the decision-for-decision equivalence the flat LRU must preserve.
-    fn assert_lockstep_equivalent(requests: &[Pair], n: usize, b: usize, alpha: u64) {
-        let dm = uniform(n);
+    /// Recency is compared at every rack the requests touch (the others
+    /// stay empty in both).
+    fn assert_lockstep_equivalent(
+        requests: &[Pair],
+        dm: &Arc<DistanceMatrix>,
+        b: usize,
+        alpha: u64,
+    ) {
         let mut flat = Bma::new(dm.clone(), b, alpha);
-        let mut tree = BTreeBma::new(dm, b, alpha);
+        let mut tree = BTreeBma::new(dm.clone(), b, alpha);
+        let mut racks: Vec<NodeId> = requests.iter().flat_map(|p| [p.lo(), p.hi()]).collect();
+        racks.sort_unstable();
+        racks.dedup();
+        let mut evictions = 0;
         for (i, &r) in requests.iter().enumerate() {
             let a = flat.serve(r);
             let c = tree.serve(r);
             assert_eq!(a, c, "outcome diverged at request {i} ({r})");
-            for v in 0..n as NodeId {
+            evictions += a.removed;
+            for &v in &racks {
                 assert_eq!(
                     flat.index.recency_order(v),
                     tree.recency_order(v),
@@ -388,6 +415,7 @@ mod tests {
             }
         }
         assert_eq!(flat.matching().len(), tree.matching().len());
+        assert!(evictions > 0, "no evictions: vacuous case");
         flat.index.assert_valid();
     }
 
@@ -401,8 +429,69 @@ mod tests {
                 (a != c).then(|| Pair::new(a, c))
             })
             .collect();
-        assert_lockstep_equivalent(&requests, n as usize, 2, 3);
-        assert_lockstep_equivalent(&requests, n as usize, 4, 1);
+        let dm = uniform(n as usize);
+        assert_lockstep_equivalent(&requests, &dm, 2, 3);
+        assert_lockstep_equivalent(&requests, &dm, 4, 1);
+    }
+
+    /// A few thousand requests over a handful of racks, ids spread up to
+    /// `n − 1` (so any pair-id arithmetic past the dense limit would land
+    /// out of range), drawn from an xorshift stream.
+    fn sparse_rack_trace(racks: &[NodeId], len: usize, seed: u64) -> Vec<Pair> {
+        let mut x = seed | 1;
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let a = racks[(x % racks.len() as u64) as usize];
+            let c = racks[((x >> 20) % racks.len() as u64) as usize];
+            if a != c {
+                out.push(Pair::new(a, c));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn hash_rent_table_above_the_dense_limit_is_decision_identical() {
+        // 1 030 racks is past `DENSE_RACK_LIMIT`: the rent table runs on
+        // its hash fallback, which no paper-scale run reaches.
+        let n = 1030;
+        assert!(n > super::super::pair_table::DENSE_RACK_LIMIT);
+        let dm = uniform(n);
+        let racks = [0, 1, 2, 517, 1023, 1024, 1025, 1029];
+        let requests = sparse_rack_trace(&racks, 4000, 0xD1CE);
+        assert_lockstep_equivalent(&requests, &dm, 2, 3);
+        assert_lockstep_equivalent(&requests, &dm, 3, 1);
+    }
+
+    #[test]
+    fn matched_pairs_never_accrue_rent() {
+        // The fact behind `evict_lru_at`'s missing rent reset: on a
+        // churn-like uniform trace (α = 4, few pairs matched, constant
+        // buying and evicting), every matched pair's rent is 0 after every
+        // request — in the flat table and in its hash fallback.
+        for n in [40usize, 1030] {
+            let dm = uniform(n);
+            let requests: Vec<Pair> = if n <= 40 {
+                use dcn_traces::RequestSource;
+                dcn_traces::uniform_source(n, 20_000, 9)
+                    .materialize()
+                    .requests
+            } else {
+                sparse_rack_trace(&[3, 500, 1022, 1024, 1026, 1027, 1028, 1029], 20_000, 9)
+            };
+            let mut bma = Bma::new(dm, 3, 4);
+            let mut evictions = 0;
+            for (i, &r) in requests.iter().enumerate() {
+                evictions += bma.serve(r).removed;
+                for e in bma.matching().edges() {
+                    assert_eq!(bma.rent.get(e), 0, "matched {e} has rent after request {i}");
+                }
+            }
+            assert!(evictions > 0, "n={n}: no evictions");
+        }
     }
 
     #[test]

@@ -4,6 +4,7 @@
 pub mod bma;
 pub mod demand_aware;
 pub mod oblivious;
+mod pair_table;
 pub mod periodic;
 pub mod predictive;
 pub mod rbma;

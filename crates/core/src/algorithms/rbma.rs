@@ -39,13 +39,9 @@ use dcn_paging::{DenseAccess, DenseMarking};
 use dcn_telemetry::{Counter, Telemetry};
 use dcn_topology::{DistanceMatrix, NodeId, Pair};
 use dcn_util::rngx::derive_seed;
-use dcn_util::{FxHashMap, FxHashSet};
 use std::sync::Arc;
 
-/// Largest rack count whose pair sets and Theorem-1 counters use flat
-/// pair-id-indexed storage (n² slots: ≤ 8 MiB of counters at the limit);
-/// above it both fall back to hash maps.
-const DENSE_RACK_LIMIT: usize = 1024;
+use super::pair_table::{DensePairSet, PairTable};
 
 /// How evictions from the per-node caches translate to matching removals.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,8 +55,9 @@ pub enum RemovalMode {
 
 /// Per-pair Theorem-1 state: requests seen since the last special request,
 /// plus the cached period `k_e = ⌈α/ℓ_e⌉` (constant per pair, so the hot
-/// loop never divides).
-#[derive(Clone, Copy, Debug)]
+/// loop never divides). The default, `k == 0`, marks a never-seen pair
+/// (real periods are ≥ 1).
+#[derive(Clone, Copy, Debug, Default)]
 struct SpecialCounter {
     count: u32,
     k: u32,
@@ -72,7 +69,7 @@ pub struct Rbma {
     alpha: u64,
     mode: RemovalMode,
     /// Per-pair counter toward the next special request (Theorem 1).
-    counters: DenseCounters,
+    counters: PairTable<SpecialCounter>,
     /// Per-rack randomized marking caches (Theorem 2). Page ids are the
     /// partner rack ids — a dense universe, hence the flat layout.
     caches: Vec<DenseMarking>,
@@ -82,8 +79,7 @@ pub struct Rbma {
     /// edge matched?" test and the per-request entry probe into one bit
     /// test instead of an adjacency scan.
     matched_set: DensePairSet,
-    /// Lazy mode: edges marked for removal but still carried in `M`
-    /// (dense bitmap up to [`DENSE_RACK_LIMIT`] racks, hash set beyond).
+    /// Lazy mode: edges marked for removal but still carried in `M`.
     marked: DensePairSet,
     /// Local event recorders, drained by `telemetry_flush` (only the
     /// rare slow paths pay a bump; ordinary requests record nothing).
@@ -121,7 +117,7 @@ impl Rbma {
             dm,
             alpha,
             mode,
-            counters: DenseCounters::new(n),
+            counters: PairTable::new(n),
             caches,
             matching: BMatching::new(n, b),
             matched_set: DensePairSet::new(n),
@@ -142,7 +138,7 @@ impl Rbma {
     #[inline]
     fn bump_counter(&mut self, pair: Pair) -> bool {
         match self.counters.get_mut(pair) {
-            Some(c) => {
+            Some(c) if c.k != 0 => {
                 c.count += 1;
                 if c.count >= c.k {
                     c.count = 0;
@@ -151,19 +147,23 @@ impl Rbma {
                     false
                 }
             }
-            None => {
-                let k = self.k_e(pair);
-                let special = k <= 1;
-                self.counters.insert(
-                    pair,
-                    SpecialCounter {
-                        count: if special { 0 } else { 1 },
-                        k,
-                    },
-                );
-                special
-            }
+            _ => self.first_request(pair),
         }
+    }
+
+    /// [`Rbma::bump_counter`] on a pair's first request: computes and
+    /// caches its period. Out of line, so the per-request path stays a
+    /// load, an increment and a compare.
+    #[cold]
+    #[inline(never)]
+    fn first_request(&mut self, pair: Pair) -> bool {
+        let k = self.k_e(pair);
+        let special = k <= 1;
+        *self.counters.slot_mut(pair) = SpecialCounter {
+            count: if special { 0 } else { 1 },
+            k,
+        };
+        special
     }
 
     /// Applies one endpoint's cache update for a special request; returns
@@ -280,157 +280,6 @@ impl Rbma {
     #[cfg(test)]
     fn cache(&self, node: NodeId) -> &DenseMarking {
         &self.caches[node as usize]
-    }
-}
-
-/// A pair set the specials slow path can probe in one bit test. Up to
-/// [`DENSE_RACK_LIMIT`] racks it is a flat pair-id bitmap — L1-resident at
-/// paper scale — and only beyond that a hash set. Used for the
-/// lazy-removal `marked` set (hit on every eviction, every prune scan
-/// — up to `b` membership probes per freed slot — and every matched
-/// re-request) and as a mirror of the matching's edge set (so the
-/// per-eviction "is the victim edge matched?" test and the per-request
-/// entry probe skip [`BMatching`]'s bounded adjacency scan). `len` is
-/// tracked so [`Rbma::marked_count`] stays O(1).
-struct DensePairSet {
-    /// Rack count of the dense id space; 0 = hash representation.
-    n: usize,
-    len: usize,
-    /// Dense representation: bit `lo·n + hi` ⇔ pair marked.
-    bits: Vec<u64>,
-    /// Sparse fallback for rack counts above the dense gate.
-    hash: FxHashSet<Pair>,
-}
-
-impl DensePairSet {
-    fn new(n: usize) -> Self {
-        let dense = n > 0 && n <= DENSE_RACK_LIMIT;
-        Self {
-            n: if dense { n } else { 0 },
-            len: 0,
-            bits: if dense {
-                vec![0; (n * n).div_ceil(64)]
-            } else {
-                Vec::new()
-            },
-            hash: FxHashSet::default(),
-        }
-    }
-
-    #[inline]
-    fn id(&self, pair: Pair) -> usize {
-        pair.lo() as usize * self.n + pair.hi() as usize
-    }
-
-    #[inline]
-    fn contains(&self, pair: Pair) -> bool {
-        if self.n != 0 {
-            let i = self.id(pair);
-            self.bits[i >> 6] >> (i & 63) & 1 != 0
-        } else {
-            self.hash.contains(&pair)
-        }
-    }
-
-    /// Inserts `pair`; returns whether it was newly marked.
-    #[inline]
-    fn insert(&mut self, pair: Pair) -> bool {
-        if self.n != 0 {
-            let i = self.id(pair);
-            let word = &mut self.bits[i >> 6];
-            let bit = 1u64 << (i & 63);
-            let fresh = *word & bit == 0;
-            *word |= bit;
-            self.len += fresh as usize;
-            fresh
-        } else {
-            let fresh = self.hash.insert(pair);
-            self.len += fresh as usize;
-            fresh
-        }
-    }
-
-    /// Removes `pair`; returns whether it was marked.
-    #[inline]
-    fn remove(&mut self, pair: Pair) -> bool {
-        if self.n != 0 {
-            let i = self.id(pair);
-            let word = &mut self.bits[i >> 6];
-            let bit = 1u64 << (i & 63);
-            let was = *word & bit != 0;
-            *word &= !bit;
-            self.len -= was as usize;
-            was
-        } else {
-            let was = self.hash.remove(&pair);
-            self.len -= was as usize;
-            was
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-}
-
-/// Theorem-1 counter store. Up to [`DENSE_RACK_LIMIT`] racks it is a flat
-/// pair-id-indexed array — `bump_counter` becomes one indexed load instead
-/// of a hash probe, which is most of the per-request budget on
-/// specials-heavy traces — with `k == 0` marking a never-seen slot (real
-/// periods are ≥ 1). Beyond the limit it falls back to a hash map. The
-/// flat array (8 B × n², ≤ 8 MiB at the limit) allocates on first insert.
-#[derive(Default)]
-struct DenseCounters {
-    /// Rack count of the dense id space; 0 = hash representation.
-    n: usize,
-    /// Flat pair-id-indexed slots (`k == 0` ⇒ never seen).
-    slots: Vec<SpecialCounter>,
-    /// Fallback representation above [`DENSE_RACK_LIMIT`].
-    hash: FxHashMap<Pair, SpecialCounter>,
-}
-
-impl DenseCounters {
-    fn new(n: usize) -> Self {
-        if n > 0 && n <= DENSE_RACK_LIMIT {
-            Self {
-                n,
-                ..Self::default()
-            }
-        } else {
-            Self::default()
-        }
-    }
-
-    #[inline]
-    fn id(&self, pair: Pair) -> usize {
-        pair.lo() as usize * self.n + pair.hi() as usize
-    }
-
-    #[inline]
-    fn get_mut(&mut self, pair: Pair) -> Option<&mut SpecialCounter> {
-        if self.n != 0 {
-            let id = self.id(pair);
-            // `get_mut` handles the not-yet-allocated (empty) array too.
-            match self.slots.get_mut(id) {
-                Some(c) if c.k != 0 => Some(c),
-                _ => None,
-            }
-        } else {
-            self.hash.get_mut(&pair)
-        }
-    }
-
-    fn insert(&mut self, pair: Pair, c: SpecialCounter) {
-        debug_assert!(c.k >= 1, "period 0 is the empty-slot sentinel");
-        if self.n != 0 {
-            if self.slots.is_empty() {
-                self.slots = vec![SpecialCounter { count: 0, k: 0 }; self.n * self.n];
-            }
-            let id = self.id(pair);
-            self.slots[id] = c;
-        } else {
-            self.hash.insert(pair, c);
-        }
     }
 }
 

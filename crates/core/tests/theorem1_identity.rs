@@ -6,10 +6,12 @@
 //! straight from the trace and the `DistanceMatrix`; the cadence does not
 //! depend on the removal mode or on the batch size.
 
+mod common;
+
 use dcn_core::algorithms::rbma::{Rbma, RemovalMode};
-use dcn_core::{run, SimConfig};
+use dcn_core::{run, OnlineScheduler, RunReport, SimConfig};
 use dcn_telemetry::Telemetry;
-use dcn_topology::{builders, DistanceMatrix, Pair};
+use dcn_topology::{builders, DistanceMatrix, NodeId, Pair};
 use dcn_traces::RequestSource;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,24 +28,29 @@ fn predicted_specials(trace: &[Pair], dm: &DistanceMatrix, alpha: u64) -> u64 {
         .sum()
 }
 
-fn specials_counted(
+/// Runs R-BMA over `trace`; returns its report and `rbma.specials` count,
+/// after checking the final matching's invariants.
+fn run_counted(
     trace: &[Pair],
     dm: &Arc<DistanceMatrix>,
     alpha: u64,
     mode: RemovalMode,
     batch: usize,
-) -> u64 {
+) -> (RunReport, u64) {
     let sink = Telemetry::enabled();
     let config = SimConfig::default()
         .with_batch_size(batch)
         .with_telemetry(sink.clone());
     let mut rbma = Rbma::new(Arc::clone(dm), 4, alpha, mode, 11);
-    run(&mut rbma, dm, alpha, trace, &config);
-    sink.snapshot()
+    let report = run(&mut rbma, dm, alpha, trace, &config);
+    rbma.matching().assert_valid();
+    let specials = sink
+        .snapshot()
         .counters
         .get("rbma.specials")
         .copied()
-        .unwrap_or(0)
+        .unwrap_or(0);
+    (report, specials)
 }
 
 #[test]
@@ -75,13 +82,54 @@ fn specials_equal_the_theorem_1_sum() {
             assert!(want > 0, "{name} α={alpha}: vacuous case");
             for mode in [RemovalMode::Lazy, RemovalMode::Strict] {
                 for batch in [1usize, 1024] {
-                    let got = specials_counted(&trace.requests, &dm, alpha, mode, batch);
+                    let (_, got) = run_counted(&trace.requests, &dm, alpha, mode, batch);
                     assert_eq!(
                         got, want,
                         "{name} α={alpha} {mode:?} batch={batch}: rbma.specials vs Σ⌊c_e/k_e⌋"
                     );
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn hash_stores_above_the_dense_rack_limit_stay_exact() {
+    if !dcn_telemetry::compiled() {
+        return;
+    }
+    // 1 030 racks is past the 1 024-rack limit of R-BMA's flat pair
+    // stores, so its Theorem-1 counters and its matched/marked pair sets
+    // all run on their hash fallbacks. A few thousand requests over a
+    // handful of racks, ids up to n − 1, keep the case small.
+    let n = 1030;
+    let dm = Arc::new(DistanceMatrix::uniform(n));
+    let racks: [NodeId; 7] = [0, 5, 511, 1023, 1024, 1026, 1029];
+    let mut x = 0x5EED_u64;
+    let mut trace = Vec::new();
+    while trace.len() < 5_000 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        let a = racks[(x % racks.len() as u64) as usize];
+        let c = racks[((x >> 20) % racks.len() as u64) as usize];
+        if a != c {
+            trace.push(Pair::new(a, c));
+        }
+    }
+    for alpha in [1u64, 3] {
+        let want = predicted_specials(&trace, &dm, alpha);
+        for mode in [RemovalMode::Lazy, RemovalMode::Strict] {
+            let ctx = format!("α={alpha} {mode:?}");
+            let (per_request, specials) = run_counted(&trace, &dm, alpha, mode, 1);
+            assert!(
+                per_request.total.reconfigurations > 0,
+                "{ctx}: vacuous case"
+            );
+            assert_eq!(specials, want, "{ctx}: rbma.specials vs Σ⌊c_e/k_e⌋");
+            let (batched, specials) = run_counted(&trace, &dm, alpha, mode, 1024);
+            assert_eq!(specials, want, "{ctx} batched: rbma.specials vs Σ⌊c_e/k_e⌋");
+            common::assert_reports_identical(&per_request, &batched, &ctx);
         }
     }
 }

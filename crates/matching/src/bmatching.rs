@@ -13,7 +13,12 @@
 //! *order evolution* (append on insert, swap-with-last on remove) is
 //! exactly what the previous `IndexedSet`-backed layout produced — callers
 //! that scan `incident_edges` for a victim (R-BMA's lazy prune) pick the
-//! same victims as before the flattening.
+//! same victims as before the flattening. There is one swap-remove body,
+//! addressed by the edge's positions in its two blocks:
+//! [`BMatching::remove`] reaches it after two position scans, and
+//! [`BMatching::remove_at`] after checking positions its caller already
+//! holds (BMA's LRU eviction, whose list head is one, skips the scan on
+//! that side).
 //!
 //! The surface covers both R-BMA's lazy-removal mode (callers pick which
 //! incident edge to prune) and BMA's counter-driven evictions.
@@ -147,31 +152,46 @@ impl BMatching {
         );
     }
 
-    /// Swap-removes `pair` from `v`'s block; returns whether it was there.
+    /// Removes `pair`, which sits at position `pos_lo` of its `lo`
+    /// endpoint's block and `pos_hi` of its `hi` endpoint's (as
+    /// [`BMatching::position`] reports them) — a swap-remove in each block
+    /// with no scan. Callers that already know the positions (the recency
+    /// overlay, whose list head is a block position) skip the lookups
+    /// [`BMatching::remove`] pays. Panics if either slot does not hold
+    /// `pair`.
     #[inline]
-    fn remove_incident(&mut self, v: NodeId, pair: Pair) -> bool {
-        let v = v as usize;
-        let d = self.degree[v] as usize;
-        let block = &mut self.incident[v * self.cap..v * self.cap + d];
-        match block.iter().position(|&e| e == pair) {
-            None => false,
-            Some(slot) => {
-                block[slot] = block[d - 1];
-                self.degree[v] -= 1;
-                true
-            }
-        }
+    pub fn remove_at(&mut self, pair: Pair, pos_lo: usize, pos_hi: usize) {
+        assert!(
+            self.block(pair.lo()).get(pos_lo) == Some(&pair)
+                && self.block(pair.hi()).get(pos_hi) == Some(&pair),
+            "remove_at: {pair} is not at positions ({pos_lo}, {pos_hi})"
+        );
+        self.swap_remove(pair, pos_lo, pos_hi);
     }
 
     /// Removes `pair`; returns whether it was present.
     pub fn remove(&mut self, pair: Pair) -> bool {
-        if !self.remove_incident(pair.lo(), pair) {
+        let Some(pos_lo) = self.position(pair.lo(), pair) else {
             return false;
-        }
-        let also = self.remove_incident(pair.hi(), pair);
-        debug_assert!(also, "adjacency blocks out of sync at {pair}");
-        self.len -= 1;
+        };
+        let pos_hi = self
+            .position(pair.hi(), pair)
+            .expect("adjacency blocks out of sync");
+        self.swap_remove(pair, pos_lo, pos_hi);
         true
+    }
+
+    /// The one removal body: in each endpoint's block, the last edge fills
+    /// the hole at the given position (callers vouch for the positions).
+    #[inline]
+    fn swap_remove(&mut self, pair: Pair, pos_lo: usize, pos_hi: usize) {
+        for (v, pos) in [(pair.lo(), pos_lo), (pair.hi(), pos_hi)] {
+            let v = v as usize;
+            let last = v * self.cap + self.degree[v] as usize - 1;
+            self.incident[v * self.cap + pos] = self.incident[last];
+            self.degree[v] -= 1;
+        }
+        self.len -= 1;
     }
 
     /// The matching edges incident to `v` (unspecified order).

@@ -18,7 +18,8 @@
 //!   b-matching onto concrete optical switches.
 //! * [`recency`] — per-endpoint LRU recency over a [`BMatching`]:
 //!   [`recency::LruBMatching`], a flat intrusive LRU threaded through the
-//!   matching's fixed-stride adjacency (O(1) touch/evict, BMA's hot path).
+//!   matching's fixed-stride adjacency (O(1) touch, eviction addressed by
+//!   the list head's block position; BMA's hot path).
 //! * [`brute`] — exponential-time exact optima for small instances, used as
 //!   ground truth by tests.
 

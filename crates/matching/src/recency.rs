@@ -8,7 +8,11 @@
 //! position `i` of rack `v`'s block occupies slot `v·b + i`), so finding an
 //! edge's list node is the same bounded block scan that membership already
 //! pays — no hashing, no allocation, no tree. A hit is two O(1) list
-//! splices; the eviction victim is a head read.
+//! splices. Eviction ([`LruBMatching::evict_lru`]) is addressed by
+//! position: the head slot of the full rack's list *is* the victim's
+//! position in that rack's block, so only the partner's block is scanned
+//! before one swap-remove ([`BMatching::remove_at`]) at both known
+//! positions.
 //!
 //! The intrusive list orders a rack's incident edges by last-touch
 //! *sequence* (touch moves a node to the MRU tail, insertion enters at the
@@ -49,6 +53,8 @@ const NIL: u32 = u32::MAX;
 /// assert!(m.touch_hit(Pair::new(0, 1))); // {0,1} becomes MRU at rack 0
 /// assert_eq!(m.lru_edge(0), Some(Pair::new(0, 2)));
 /// assert!(!m.touch_hit(Pair::new(0, 3)), "not a matching edge");
+/// assert_eq!(m.evict_lru(0), Some(Pair::new(0, 2)));
+/// assert_eq!(m.recency_order(0), vec![Pair::new(0, 1)]);
 /// ```
 #[derive(Clone, Debug)]
 pub struct LruBMatching {
@@ -204,6 +210,23 @@ impl LruBMatching {
         self.push_mru(w, sw);
     }
 
+    /// Removes `pair`, found at block positions `pu` (at `u = pair.lo()`)
+    /// and `pw` (at `w = pair.hi()`), with its recency state.
+    #[inline]
+    fn remove_at(&mut self, pair: Pair, pu: usize, pw: usize) {
+        let (u, w) = pair.endpoints();
+        for (v, pos) in [(u, pu), (w, pw)] {
+            let last = self.matching.degree(v) - 1;
+            self.unlink(v, self.slot(v, pos));
+            if pos != last {
+                // Mirror the swap-remove: the block's last edge moves into
+                // the hole, so its list node moves to the hole's slot.
+                self.relabel(v, self.slot(v, last), self.slot(v, pos));
+            }
+        }
+        self.matching.remove_at(pair, pu, pw);
+    }
+
     /// Removes `pair` and its recency state; returns whether it was present.
     pub fn remove(&mut self, pair: Pair) -> bool {
         let (u, w) = pair.endpoints();
@@ -214,22 +237,40 @@ impl LruBMatching {
             .matching
             .position(w, pair)
             .expect("adjacency blocks out of sync");
-        for (v, pos) in [(u, pu), (w, pw)] {
-            let last = self.matching.degree(v) - 1;
-            self.unlink(v, self.slot(v, pos));
-            if pos != last {
-                // Mirror the swap-remove: the block's last edge moves into
-                // the hole, so its list node moves to the hole's slot.
-                self.relabel(v, self.slot(v, last), self.slot(v, pos));
-            }
-        }
-        let removed = self.matching.remove(pair);
-        debug_assert!(removed, "position() found the pair, remove() must too");
+        self.remove_at(pair, pu, pw);
         true
     }
 
+    /// Removes and returns the least-recently-used matching edge incident
+    /// to `v` (`None` if `v` has none) — the deterministic eviction. The
+    /// list head *is* the victim's slot, so its position at `v` is
+    /// `head[v] − v·b` and only the partner's block is scanned.
+    #[inline]
+    pub fn evict_lru(&mut self, v: NodeId) -> Option<Pair> {
+        let slot = self.head[v as usize];
+        if slot == NIL {
+            return None;
+        }
+        let pos = slot as usize - v as usize * self.matching.cap();
+        let victim = self.matching.incident_edges(v)[pos];
+        let (lo, hi) = victim.endpoints();
+        let partner_pos = |partner| {
+            self.matching
+                .position(partner, victim)
+                .expect("adjacency blocks out of sync")
+        };
+        let (pu, pw) = if v == lo {
+            (pos, partner_pos(hi))
+        } else {
+            (partner_pos(lo), pos)
+        };
+        self.remove_at(victim, pu, pw);
+        Some(victim)
+    }
+
     /// The least-recently-used matching edge incident to `v`, if any — the
-    /// deterministic eviction victim.
+    /// deterministic eviction victim, left in place ([`Self::evict_lru`]
+    /// removes it). For tests and diagnostics.
     #[inline]
     pub fn lru_edge(&self, v: NodeId) -> Option<Pair> {
         let slot = self.head[v as usize];
@@ -304,9 +345,36 @@ mod tests {
 
     #[test]
     fn empty_rack_has_no_victim() {
-        let m = LruBMatching::new(3, 2);
+        let mut m = LruBMatching::new(3, 2);
         assert_eq!(m.lru_edge(1), None);
+        assert_eq!(m.evict_lru(1), None);
         assert!(m.recency_order(1).is_empty());
+    }
+
+    #[test]
+    fn evict_lru_removes_the_head_at_either_endpoint() {
+        // Rack 3 is the `hi` endpoint of its edges: the head position is
+        // on the `hi` side and the partner scan on the `lo` side.
+        let mut m = LruBMatching::new(6, 3);
+        for e in [p(0, 3), p(1, 3), p(2, 3), p(0, 4)] {
+            m.insert_mru(e);
+        }
+        assert!(m.touch_hit(p(0, 3)));
+        assert_eq!(m.evict_lru(3), Some(p(1, 3)));
+        assert_eq!(m.recency_order(3), vec![p(2, 3), p(0, 3)]);
+        assert!(m.recency_order(1).is_empty());
+        m.assert_valid();
+        // Rack 0 is the `lo` endpoint. After touching {0,4} its head is
+        // {0,3}, at block position 0, so the swap-remove moves {0,4} into
+        // that slot and relabels its list node.
+        assert!(m.touch_hit(p(0, 4)));
+        assert_eq!(m.evict_lru(0), Some(p(0, 3)));
+        assert_eq!(m.matching().incident_edges(0), &[p(0, 4)]);
+        assert_eq!(m.recency_order(3), vec![p(2, 3)]);
+        m.assert_valid();
+        assert_eq!(m.evict_lru(0), Some(p(0, 4)));
+        assert_eq!(m.evict_lru(0), None);
+        m.assert_valid();
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! ([`LruBMatching`]) against a test-local reference that keeps recency
 //! the historical way ([`BTreeRecency`]: last-touch stamps from a global
 //! clock, ordered per rack in a `BTreeMap`): random
-//! hit/miss/insert/evict/remove sequences must produce identical recency
+//! hit/miss/insert/evict/remove sequences must produce identical evicted
+//! victims (the position-addressed `evict_lru` against the reference's
+//! minimum-stamp edge), identical recency
 //! orders at **both** endpoints of every edge, identical LRU victims at
 //! every rack, and identical matchings — including when the reference's
 //! stamp clock starts near the top of the `u64` range (where a stamp-based
@@ -66,6 +68,8 @@ trait Recency {
     fn insert_mru(&mut self, pair: Pair);
     fn remove(&mut self, pair: Pair) -> bool;
     fn lru_edge(&self, v: NodeId) -> Option<Pair>;
+    /// Removes and returns the LRU edge at `v`.
+    fn evict_lru(&mut self, v: NodeId) -> Option<Pair>;
     fn recency_order(&self, v: NodeId) -> Vec<Pair>;
 }
 
@@ -84,6 +88,9 @@ impl Recency for LruBMatching {
     }
     fn lru_edge(&self, v: NodeId) -> Option<Pair> {
         LruBMatching::lru_edge(self, v)
+    }
+    fn evict_lru(&mut self, v: NodeId) -> Option<Pair> {
+        LruBMatching::evict_lru(self, v)
     }
     fn recency_order(&self, v: NodeId) -> Vec<Pair> {
         LruBMatching::recency_order(self, v)
@@ -125,6 +132,12 @@ impl Recency for BTreeRecency {
         self.recency[v as usize].values().next().copied()
     }
 
+    fn evict_lru(&mut self, v: NodeId) -> Option<Pair> {
+        let victim = self.lru_edge(v)?;
+        assert!(self.remove(victim));
+        Some(victim)
+    }
+
     fn recency_order(&self, v: NodeId) -> Vec<Pair> {
         self.recency[v as usize].values().copied().collect()
     }
@@ -134,12 +147,16 @@ impl Recency for BTreeRecency {
 #[derive(Clone, Debug)]
 enum Op {
     /// Touch the pair if matched; otherwise insert it, evicting the LRU
-    /// incident edge at any full endpoint first (BMA's buy path).
+    /// incident edge at any full endpoint first (BMA's buy path, through
+    /// `evict_lru`).
     Request(Pair),
     /// Remove the pair if present (BMA's counter-driven removal).
     Remove(Pair),
-    /// Remove the LRU victim at a rack, if any (a bare eviction).
+    /// Remove the LRU victim at a rack, if any, found by `lru_edge` and
+    /// removed by pair (a bare eviction).
     EvictAt(NodeId),
+    /// Remove the LRU victim at a rack, if any, by position (`evict_lru`).
+    EvictLru(NodeId),
 }
 
 fn pair_strategy(n: u32) -> impl Strategy<Value = Pair> {
@@ -161,22 +178,23 @@ fn op_strategy(n: u32) -> impl Strategy<Value = Op> {
         pair_strategy(n).prop_map(Op::Request),
         pair_strategy(n).prop_map(Op::Remove),
         (0..n).prop_map(Op::EvictAt),
+        (0..n).prop_map(Op::EvictLru),
     ]
 }
 
 /// Applies `op` identically to one structure, using only the [`Recency`]
 /// contract (so both implementations run the exact same decision
-/// sequence).
-fn apply<M: Recency>(m: &mut M, op: &Op) {
+/// sequence). Returns the edges it evicted, in order.
+fn apply<M: Recency>(m: &mut M, op: &Op) -> Vec<Pair> {
+    let mut evicted = Vec::new();
     match *op {
         Op::Request(pair) => {
             if m.touch_hit(pair) {
-                return;
+                return evicted;
             }
             for node in [pair.lo(), pair.hi()] {
                 if m.matching().degree(node) >= m.matching().cap() {
-                    let victim = m.lru_edge(node).expect("full node has a victim");
-                    assert!(m.remove(victim));
+                    evicted.push(m.evict_lru(node).expect("full node has a victim"));
                 }
             }
             m.insert_mru(pair);
@@ -187,9 +205,12 @@ fn apply<M: Recency>(m: &mut M, op: &Op) {
         Op::EvictAt(v) => {
             if let Some(victim) = m.lru_edge(v) {
                 assert!(m.remove(victim));
+                evicted.push(victim);
             }
         }
+        Op::EvictLru(v) => evicted.extend(m.evict_lru(v)),
     }
+    evicted
 }
 
 fn assert_equivalent(flat: &LruBMatching, tree: &BTreeRecency, n: u32, step: usize) {
@@ -224,8 +245,8 @@ proptest! {
         let mut flat = LruBMatching::new(n as usize, b);
         let mut tree = BTreeRecency::with_start_clock(n as usize, b, 0);
         for (step, op) in ops.iter().enumerate() {
-            apply(&mut flat, op);
-            apply(&mut tree, op);
+            let evicted = apply(&mut flat, op);
+            assert_eq!(evicted, apply(&mut tree, op), "victims diverged at step {step}");
             assert_equivalent(&flat, &tree, n, step);
         }
         flat.assert_valid();
@@ -244,8 +265,8 @@ proptest! {
         let mut flat = LruBMatching::new(n as usize, 2);
         let mut tree = BTreeRecency::with_start_clock(n as usize, 2, start);
         for (step, op) in ops.iter().enumerate() {
-            apply(&mut flat, op);
-            apply(&mut tree, op);
+            let evicted = apply(&mut flat, op);
+            assert_eq!(evicted, apply(&mut tree, op), "victims diverged at step {step}");
             assert_equivalent(&flat, &tree, n, step);
         }
     }

@@ -125,4 +125,38 @@ proptest! {
             prop_assert_eq!(m.degree(v), degree[v as usize]);
         }
     }
+
+    #[test]
+    fn remove_at_reported_positions_equals_remove(
+        inserts in prop::collection::vec((0u32..10, 0u32..9), 1..120),
+        removals in prop::collection::vec(any::<u32>(), 1..40),
+        b in 1usize..5,
+    ) {
+        // Two copies of one matching: one removes by pair (`remove`), the
+        // other at the positions `position()` reports (`remove_at`). Every
+        // block must hold the same edges in the same order after each
+        // removal — swap-remove order is what R-BMA's lazy prune scans.
+        let mut by_pair = BMatching::new(10, b);
+        for (a, raw) in inserts {
+            let v = if raw >= a { raw + 1 } else { raw };
+            let _ = by_pair.try_insert(Pair::new(a, v));
+        }
+        let mut by_pos = by_pair.clone();
+        for pick in removals {
+            let edges: Vec<Pair> = by_pair.edges().collect();
+            if edges.is_empty() {
+                break;
+            }
+            let e = edges[pick as usize % edges.len()];
+            let pos_lo = by_pos.position(e.lo(), e).expect("edge in lo block");
+            let pos_hi = by_pos.position(e.hi(), e).expect("edge in hi block");
+            by_pos.remove_at(e, pos_lo, pos_hi);
+            prop_assert!(by_pair.remove(e));
+            prop_assert_eq!(by_pos.len(), by_pair.len());
+            for v in 0..10u32 {
+                prop_assert_eq!(by_pos.incident_edges(v), by_pair.incident_edges(v));
+            }
+        }
+        by_pos.assert_valid();
+    }
 }
