@@ -78,9 +78,9 @@ pub struct CorpusEntry {
 }
 
 /// Parses an algorithm tag: `Oblivious`, `Bma`, `RbmaLazy`, `RbmaStrict`,
-/// `Rotor:<period>`, `Periodic:<period>`, `PredictiveRbma:<noise>`.
-/// (The demand-aware baseline needs forecast matrices and is not
-/// corpus-expressible.)
+/// `Rotor:<period>`, `Periodic:<period>`, with `period ≥ 1`. Anything
+/// else, including a zero period, is `None`. (The demand-aware baseline
+/// needs forecast matrices and is not corpus-expressible.)
 pub fn parse_kind(tag: &str) -> Option<AlgorithmKind> {
     match tag {
         "Oblivious" => return Some(AlgorithmKind::Oblivious),
@@ -90,16 +90,10 @@ pub fn parse_kind(tag: &str) -> Option<AlgorithmKind> {
         _ => {}
     }
     let (name, arg) = tag.split_once(':')?;
+    let period = arg.parse().ok().filter(|&p: &u64| p >= 1)?;
     match name {
-        "Rotor" => Some(AlgorithmKind::Rotor {
-            period: arg.parse().ok()?,
-        }),
-        "Periodic" => Some(AlgorithmKind::Periodic {
-            period: arg.parse().ok()?,
-        }),
-        "PredictiveRbma" => Some(AlgorithmKind::PredictiveRbma {
-            noise: arg.parse().ok()?,
-        }),
+        "Rotor" => Some(AlgorithmKind::Rotor { period }),
+        "Periodic" => Some(AlgorithmKind::Periodic { period }),
         _ => None,
     }
 }
@@ -114,7 +108,6 @@ pub fn kind_tag(kind: &AlgorithmKind) -> Option<String> {
         AlgorithmKind::Rbma { lazy: false } => "RbmaStrict".into(),
         AlgorithmKind::Rotor { period } => format!("Rotor:{period}"),
         AlgorithmKind::Periodic { period } => format!("Periodic:{period}"),
-        AlgorithmKind::PredictiveRbma { noise } => format!("PredictiveRbma:{noise}"),
         AlgorithmKind::DemandAware { .. } => return None,
     })
 }
@@ -253,6 +246,11 @@ mod tests {
         }
         assert!(parse_kind("NoSuchAlgorithm").is_none());
         assert!(parse_kind("Rotor:notanumber").is_none());
+        // A zero period would panic the scheduler constructors.
+        assert!(parse_kind("Rotor:0").is_none());
+        assert!(parse_kind("Periodic:0").is_none());
+        // Retired kind.
+        assert!(parse_kind("PredictiveRbma:0.5").is_none());
     }
 
     #[test]
@@ -299,5 +297,9 @@ mod tests {
         let err = entry.verify().unwrap_err();
         assert!(err.contains("corpus replay mismatch"), "{err}");
         assert!(err.contains("replay genome JSON: {"), "{err}");
+
+        entry.algorithm = "Periodic:0".into();
+        let err = entry.verify().unwrap_err();
+        assert!(err.contains("unknown algorithm tag"), "{err}");
     }
 }

@@ -33,8 +33,7 @@ fn bench_cluster(c: &mut Criterion, id: &str, workload: Workload) {
         for &b in &spec.bs {
             group.bench_with_input(BenchmarkId::new(algorithm.label(), b), &b, |bencher, &b| {
                 bencher.iter(|| {
-                    let mut s =
-                        algorithm.build_with_trace(dm.clone(), b, spec.alpha, 7, &trace.requests);
+                    let mut s = algorithm.build_online(dm.clone(), b, spec.alpha, 7);
                     let mut cost = 0u64;
                     for &r in &trace.requests {
                         let o = s.serve(r);

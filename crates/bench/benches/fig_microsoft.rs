@@ -31,8 +31,7 @@ fn fig4b(c: &mut Criterion) {
         for &b in &spec.bs {
             group.bench_with_input(BenchmarkId::new(algorithm.label(), b), &b, |bencher, &b| {
                 bencher.iter(|| {
-                    let mut s =
-                        algorithm.build_with_trace(dm.clone(), b, spec.alpha, 3, &trace.requests);
+                    let mut s = algorithm.build_online(dm.clone(), b, spec.alpha, 3);
                     let mut matched = 0u64;
                     for &r in &trace.requests {
                         matched += s.serve(r).was_matched as u64;

@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! repro_figures [--fast] [--scale F] [--threads N] [--shard I/M]
-//!               [--pr N] [--ledger-file PATH]
 //!               [--out DIR] [--json DIR] [--merge-json DIR]
 //!               [--telemetry DIR] [--journal FILE] [--resume] <target>...
 //! repro_figures --telemetry-diff A.json B.json
@@ -18,9 +17,6 @@
 //!   scaling                  streamed 10^5 -> 10^7 request sweep (O(1) memory)
 //!   demand                   demand mis-estimation sweep (static forecast vs drift)
 //!   sweep                    work-stealing executor scaling on a skewed job mix
-//!   ledger                   measure the standard point and upsert this PR's
-//!                            rows into the committed BENCH_LEDGER.json
-//!                            (requires --pr; not part of "all")
 //!   adversary                coverage-guided adversarial trace search per
 //!                            algorithm (worst cost ratio vs SO-BMA); with
 //!                            --json also writes the replayable genomes as
@@ -34,8 +30,6 @@
 //! --threads N   work-stealing worker count for job grids (0 = auto, one per
 //!               core — the default). Timing-sensitive serve loops (panel b,
 //!               scaling/sweep rows) stay sequential regardless.
-//! --pr N        PR number to record ledger measurements under (ledger only)
-//! --ledger-file PATH  ledger location (default BENCH_LEDGER.json)
 //! --shard I/M   compute only this shard's slice of a table target's rows
 //!               (round-robin by row index; seeds unchanged). With --json,
 //!               writes BENCH_<target>.shard-I-of-M.json for --merge-json.
@@ -79,9 +73,9 @@
 
 use dcn_bench::{
     ablation_alpha, ablation_augmentation, ablation_removal, ablation_skew, adversary_search,
-    demand_sweep_supervised, genomes_to_json, locked_update, lower_bound_gap,
-    measure_standard_point, run_panel, scaling_sweep, series_to_csv, series_to_markdown, shard,
-    sweep_scaling, telem, worst_case_panel, FigureSpec, Panel, SimpleTable,
+    demand_sweep_supervised, genomes_to_json, lower_bound_gap, run_panel, scaling_sweep,
+    series_to_csv, series_to_markdown, shard, sweep_scaling, telem, worst_case_panel, FigureSpec,
+    Panel, SimpleTable,
 };
 use dcn_core::sweep::{JobFailure, ShardSpec, Supervisor};
 use serde::Serialize;
@@ -89,15 +83,13 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 /// Flags that take a value (the next argument).
-const VALUE_FLAGS: [&str; 10] = [
+const VALUE_FLAGS: [&str; 8] = [
     "--out",
     "--scale",
     "--json",
     "--threads",
     "--shard",
     "--merge-json",
-    "--pr",
-    "--ledger-file",
     "--telemetry",
     "--journal",
 ];
@@ -186,16 +178,6 @@ fn main() {
         },
         None => 0,
     };
-    let pr: Option<u64> = value_of("--pr").map(|v| match v.parse::<u64>() {
-        Ok(n) => n,
-        Err(_) => {
-            eprintln!("--pr expects a non-negative integer, got {v:?}");
-            std::process::exit(2);
-        }
-    });
-    let ledger_file: PathBuf = value_of("--ledger-file")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("BENCH_LEDGER.json"));
     let shard_spec: ShardSpec = match value_of("--shard") {
         Some(v) => match ShardSpec::parse(&v) {
             Ok(s) => s,
@@ -512,35 +494,6 @@ fn main() {
                         "[scaling] measured specials share: n/a (telemetry compiled out)"
                     ),
                 }
-            }
-            "ledger" => {
-                let Some(pr) = pr else {
-                    eprintln!("ledger requires --pr N (the PR to record the measurement under)");
-                    std::process::exit(2);
-                };
-                // Measure outside the lock (minutes of wall clock), then
-                // read-modify-write the file under the advisory lock so
-                // concurrent CI runs serialize instead of losing rows.
-                let entries = measure_standard_point(pr);
-                for entry in &entries {
-                    println!(
-                        "PR {pr}: {} {} = {:.1} Mreq/s",
-                        entry.algorithm, entry.mode, entry.mreq_per_sec
-                    );
-                }
-                let ledger = match locked_update(
-                    &ledger_file,
-                    entries,
-                    std::time::Duration::from_secs(30),
-                ) {
-                    Ok(l) => l,
-                    Err(e) => {
-                        eprintln!("{}: {e}", ledger_file.display());
-                        std::process::exit(2);
-                    }
-                };
-                println!("(wrote {})\n", ledger_file.display());
-                println!("{}", ledger.to_markdown());
             }
             other => {
                 eprintln!("unknown target: {other}");

@@ -26,7 +26,6 @@
 pub mod ablations;
 pub mod adversary;
 pub mod demand;
-pub mod ledger;
 pub mod shard;
 pub mod telem;
 
@@ -36,7 +35,6 @@ pub use ablations::{
 };
 pub use adversary::{adversary_search, genomes_to_json};
 pub use demand::{demand_sweep, demand_sweep_supervised};
-pub use ledger::{locked_update, measure_standard_point, Ledger, LedgerEntry};
 pub use shard::{merge_tables, merged_file_name, shard_file_name};
 
 use dcn_core::algorithms::static_offline::so_bma_series;

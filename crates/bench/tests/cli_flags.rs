@@ -42,11 +42,19 @@ fn misspelt_flag_exits_2_and_names_it() {
 }
 
 #[test]
-fn retired_intra_threads_flag_fails_loudly() {
-    assert_rejected(
-        &["--fast", "--intra-threads", "2", "lower-bound"],
-        "--intra-threads",
-    );
+fn retired_flags_fail_loudly() {
+    for (flag, value) in [
+        ("--intra-threads", "2"),
+        ("--pr", "9"),
+        ("--ledger-file", "ledger.json"),
+    ] {
+        assert_rejected(&["--fast", flag, value, "lower-bound"], flag);
+    }
+}
+
+#[test]
+fn retired_ledger_target_fails_loudly() {
+    assert_rejected(&["ledger"], "unknown target: ledger");
 }
 
 #[test]

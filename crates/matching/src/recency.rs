@@ -23,9 +23,8 @@
 //! `BTreeMap`s, and require identical victims at every step.
 //!
 //! Adoption survey (rest of the workspace): `periodic.rs` keeps a demand
-//! *count* window (no recency ordering) and `predictive.rs` evicts by
-//! predicted next use over unmarked entries (oracle order, not recency), so
-//! neither gains from this slab; R-BMA's marking caches sample uniformly
+//! *count* window (no recency ordering), so it does not gain from this
+//! slab; R-BMA's marking caches sample uniformly
 //! ([`dcn_util::IndexedSet`] / `DenseMarking`), which is already O(1). BMA
 //! is the only recency consumer, and it rides [`LruBMatching`].
 

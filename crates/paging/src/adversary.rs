@@ -122,6 +122,46 @@ mod tests {
         );
     }
 
+    /// Mean over `seeds` runs of randomized marking's faults with cache `b`,
+    /// divided by Belady's with the smaller cache `a` — the (b,a)-paging
+    /// ratio of Young \[75\] that Corollary 3 plugs into Theorem 2.
+    fn marking_ratio(b: usize, a: usize, seq: &[PageId], seeds: u64) -> f64 {
+        let opt = Belady::total_faults(a, seq) as f64;
+        let total: f64 = (0..seeds)
+            .map(|s| run_policy(&mut Marking::new(b, s), seq).faults as f64 / opt)
+            .sum();
+        total / seeds as f64
+    }
+
+    #[test]
+    fn marking_meets_youngs_ba_bound_on_uniform_nemesis() {
+        for (b, a) in [(8usize, 8usize), (16, 16), (16, 8)] {
+            let seq = uniform_sequence(b, 50_000, 7);
+            let measured = marking_ratio(b, a, &seq, 5);
+            // 2·ln(b/(b−a+1)), plus slack for the O(1) term and
+            // finite-length effects.
+            let bound = 2.0 * (b as f64 / (b - a + 1) as f64).ln() + 2.5;
+            assert!(
+                measured <= bound,
+                "(b={b}, a={a}): measured {measured} > bound {bound}"
+            );
+        }
+    }
+
+    #[test]
+    fn augmentation_reduces_marking_ratio() {
+        // Same online cache b; OPT restricted to a < b gets weaker, so the
+        // measured ratio must drop as a decreases.
+        let b = 12;
+        let seq = uniform_sequence(b, 40_000, 5);
+        let full = marking_ratio(b, b, &seq, 3);
+        let augmented = marking_ratio(b, b / 2, &seq, 3);
+        assert!(
+            augmented < full,
+            "(b, b/2) ratio {augmented} should be below (b,b) ratio {full}"
+        );
+    }
+
     #[test]
     fn uniform_sequence_uses_whole_universe() {
         let seq = uniform_sequence(4, 10_000, 3);

@@ -27,12 +27,10 @@
 //!   prove an access is a cached hit (R-BMA's matched-and-unmarked
 //!   specials gate) may take the `mark_cached_hit` entry directly,
 //!   skipping the probe/fault machinery with identical observable state.
-//! * [`Lru`], [`Fifo`], [`Fwf`], [`RandomEvict`], [`Lfu`], [`Clock`] —
-//!   deterministic and randomized baselines.
+//! * [`Lru`], [`Fifo`] — deterministic baselines (the chaser below forces
+//!   them to fault on every request).
 //! * [`Belady`] — the offline optimum (farthest-in-future), used as the
 //!   denominator of empirical competitive ratios.
-//! * [`PredictiveMarking`] — marking with next-use predictions (the paper's
-//!   §5 future-work direction), robust to prediction noise.
 //!
 //! [`adversary`] generates nemesis sequences: the uniform random sequence
 //! over `k+1` pages (hard for randomized algorithms) and a *chaser* that
@@ -41,31 +39,17 @@
 
 pub mod adversary;
 pub mod belady;
-pub mod clock;
-pub mod competitive;
 pub mod dense;
 pub mod fifo;
-pub mod fwf;
-pub mod lfu;
 pub mod lru;
 pub mod marking;
 pub mod policy;
-pub mod predictive;
-pub mod random_evict;
 pub mod sim;
-pub mod slru;
 
 pub use belady::Belady;
-pub use clock::Clock;
-pub use competitive::{empirical_ratio, marking_ratio, young_bound};
 pub use dense::{DenseAccess, DenseMarking};
 pub use fifo::Fifo;
-pub use fwf::Fwf;
-pub use lfu::Lfu;
 pub use lru::Lru;
 pub use marking::Marking;
 pub use policy::{Access, PageId, PagingPolicy};
-pub use predictive::{NoisyOracle, PredictiveMarking, Predictor};
-pub use random_evict::RandomEvict;
 pub use sim::{phase_count, run_policy, PagingStats};
-pub use slru::Slru;

@@ -2,26 +2,14 @@
 //! model invariants of fetch-on-fault paging must hold on arbitrary request
 //! sequences, interleaved with arbitrary invalidations.
 
-use dcn_paging::{
-    Belady, Clock, Fifo, Fwf, Lfu, Lru, Marking, NoisyOracle, PageId, PagingPolicy,
-    PredictiveMarking, RandomEvict, Slru,
-};
+use dcn_paging::{Belady, Fifo, Lru, Marking, PageId, PagingPolicy};
 use proptest::prelude::*;
 
 fn policies(cap: usize, seq: &[PageId]) -> Vec<(&'static str, Box<dyn PagingPolicy>)> {
     vec![
         ("lru", Box::new(Lru::new(cap))),
         ("fifo", Box::new(Fifo::new(cap))),
-        ("fwf", Box::new(Fwf::new(cap))),
-        ("lfu", Box::new(Lfu::new(cap))),
-        ("clock", Box::new(Clock::new(cap))),
-        ("slru", Box::new(Slru::new(cap, 0.5))),
         ("marking", Box::new(Marking::new(cap, 42))),
-        ("random", Box::new(RandomEvict::new(cap, 42))),
-        (
-            "predictive",
-            Box::new(PredictiveMarking::new(cap, NoisyOracle::new(seq, 0.5, 7))),
-        ),
         ("belady", Box::new(Belady::new(cap, seq))),
     ]
 }
@@ -112,11 +100,10 @@ proptest! {
             policy.reset();
             prop_assert_eq!(policy.len(), 0, "{}: reset left pages", name);
             let second: Vec<bool> = seq.iter().map(|&p| policy.access(p).is_fault()).collect();
-            // Deterministic policies replay identically; randomized ones may
-            // diverge after the first eviction, but the total fault count
-            // stays within the phase bound — here we only check the strong
-            // property for the deterministic ones.
-            if !matches!(name, "marking" | "random" | "predictive") {
+            // Deterministic policies replay identically; randomized marking
+            // may diverge after the first eviction, so only the
+            // deterministic ones get the strong check.
+            if name != "marking" {
                 prop_assert_eq!(&first, &second, "{}: replay after reset differs", name);
             }
         }

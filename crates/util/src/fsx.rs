@@ -6,8 +6,8 @@
 //!   mid-write) only ever observe the old complete file or the new complete
 //!   file, never a torn prefix.
 //! * [`FileLock`] — an advisory create-new lock file so concurrent
-//!   processes (e.g. two CI runs appending to `BENCH_LEDGER.json`)
-//!   serialize their read-modify-write cycles.
+//!   processes (e.g. two runs appending to one shared journal or
+//!   artifact file) serialize their read-modify-write cycles.
 
 use std::fs;
 use std::io;

@@ -39,7 +39,7 @@ fn main() {
         AlgorithmKind::Bma,
         AlgorithmKind::Periodic { period: 5000 },
     ] {
-        let mut s = algorithm.build_with_trace(dm.clone(), b, alpha, 1, &trace.requests);
+        let mut s = algorithm.build_online(dm.clone(), b, alpha, 1);
         run(
             s.as_mut(),
             &dm,

@@ -18,7 +18,6 @@ fn all_algorithms() -> Vec<AlgorithmKind> {
         AlgorithmKind::Rbma { lazy: false },
         AlgorithmKind::Bma,
         AlgorithmKind::Rotor { period: 50 },
-        AlgorithmKind::PredictiveRbma { noise: 0.5 },
         AlgorithmKind::Periodic { period: 500 },
     ]
 }
@@ -40,7 +39,7 @@ fn degree_bounds_hold_for_every_algorithm_and_workload() {
     for trace in workloads(n, 6000) {
         for algorithm in all_algorithms() {
             for b in [1usize, 2, 5] {
-                let mut s = algorithm.build_with_trace(dm.clone(), b, 10, 7, &trace.requests);
+                let mut s = algorithm.build_online(dm.clone(), b, 10, 7);
                 let config = SimConfig {
                     verify_every: 500,
                     ..Default::default()
